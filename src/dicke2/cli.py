@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -27,11 +26,14 @@ from .model import (
     trivial_fixed_point,
     validate_params,
 )
-from .phasescan import GridSpec, analytic_boundary_curve, scan
+from .phasescan import GridSpec, analytic_boundary_curve, scan, validate_grid
 from .stability import assess, boundary_value, omega_pm
 from .steadystate import NewtonError, solve_superradiant
 
 MATRIX_FIELDS = ("max_growth_rate", "boundary_b", "omega_plus", "omega_minus", "superradiant")
+CELL_FIELDS = (
+    "lambda1", "lambda2", "superradiant", "max_growth_rate", "boundary_b", "omega_plus", "omega_minus"
+)
 
 DEFAULTS: dict = {
     "omega1": 1.0,
@@ -118,18 +120,26 @@ def _effective(
 
 
 def _params_from(cfg: dict) -> ModelParams:
-    return validate_params(ModelParams(**{k: float(cfg[k]) for k in _PARAM_KEYS}))
+    try:
+        return validate_params(ModelParams(**{k: float(cfg[k]) for k in _PARAM_KEYS}))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _grid_from(cfg: dict) -> GridSpec:
-    return GridSpec(
-        l1_min=float(cfg["l1_min"]),
-        l1_max=float(cfg["l1_max"]),
-        l1_count=int(cfg["l1_count"]),
-        l2_min=float(cfg["l2_min"]),
-        l2_max=float(cfg["l2_max"]),
-        l2_count=int(cfg["l2_count"]),
-    )
+    try:
+        return validate_grid(
+            GridSpec(
+                l1_min=float(cfg["l1_min"]),
+                l1_max=float(cfg["l1_max"]),
+                l1_count=int(cfg["l1_count"]),
+                l2_min=float(cfg["l2_min"]),
+                l2_max=float(cfg["l2_max"]),
+                l2_count=int(cfg["l2_count"]),
+            )
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _integrator_from(cfg: dict) -> IntegratorConfig:
@@ -148,8 +158,8 @@ def _phase_from(cfg: dict) -> Phase:
 
 
 def _meta_lines(command: str, cfg: dict) -> list[str]:
-    # The echo describes the computation only: output path and worker count
-    # are deliberately excluded so identical computations give identical bytes.
+    # The echo describes the computation only: the output path and run
+    # statistics are excluded so identical computations give identical bytes.
     return [
         f"# dicke2 {__version__}",
         f"# command: {command}",
@@ -237,21 +247,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _scan_csv(result) -> list[str]:
-    lines = ["lambda1,lambda2,superradiant,max_growth_rate,boundary_b,omega_plus,omega_minus"]
-    for c in result.cells:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.lambda1),
-                    _fmt(c.lambda2),
-                    _fmt(c.superradiant),
-                    _fmt(c.max_growth_rate),
-                    _fmt(c.boundary_b),
-                    _fmt(c.omega_plus),
-                    _fmt(c.omega_minus),
-                ]
-            )
-        )
+    lines = [",".join(CELL_FIELDS)]
+    lines += [",".join(_fmt(getattr(c, f)) for f in CELL_FIELDS) for c in result.cells]
     return lines
 
 
@@ -260,18 +257,7 @@ def _scan_json(result) -> list[str]:
         "phase": result.phase.name.lower(),
         "grid": {k: getattr(result.grid, k) for k in _GRID_KEYS},
         "params": {k: getattr(result.params, k) for k in _PARAM_KEYS},
-        "cells": [
-            {
-                "lambda1": c.lambda1,
-                "lambda2": c.lambda2,
-                "superradiant": c.superradiant,
-                "max_growth_rate": c.max_growth_rate,
-                "boundary_b": c.boundary_b,
-                "omega_plus": c.omega_plus,
-                "omega_minus": c.omega_minus,
-            }
-            for c in result.cells
-        ],
+        "cells": [{f: getattr(c, f) for f in CELL_FIELDS} for c in result.cells],
         "boundary_curve": [[float(a), float(b)] for a, b in result.boundary_curve],
     }
     return _json_block(payload)
@@ -295,19 +281,11 @@ def _scan_matrix(result, field: str) -> list[str]:
     return lines
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("DICKE2_THREADS", "").strip()
-    if not raw:
-        return None
-    n = int(raw)
-    return None if n == 0 else n
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "format", "value")
     cfg = _effective(args, keys)
     p = _params_from(cfg)
-    result = scan(_phase_from(cfg), _grid_from(cfg), p, workers=_workers_from_env())
+    result = scan(_phase_from(cfg), _grid_from(cfg), p)
     lines = _meta_lines("scan", cfg)
     if cfg["format"] == "csv":
         lines += _scan_csv(result)

@@ -9,6 +9,7 @@ layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,19 +104,21 @@ class SystemState:
 def validate_params(p: ModelParams) -> ModelParams:
     """Return p unchanged if all invariants hold, else raise ValueError.
 
-    The first violated invariant (in field order) is reported by name.
+    Every field must be finite. The first violated invariant (in field
+    order) is reported by name.
     """
-    for name in ("omega1", "omega2", "omega_c"):
-        if not getattr(p, name) > 0:
-            raise ValueError(f"{name} must be positive (got {getattr(p, name)})")
-    if not p.kappa > 0:
-        raise ValueError(f"kappa must be positive (got {p.kappa})")
+    for name in ("omega1", "omega2", "omega_c", "kappa"):
+        v = getattr(p, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive (got {v})")
     for name in ("n1", "n2"):
-        if not getattr(p, name) > 0:
-            raise ValueError(f"atom number {name} must be positive (got {getattr(p, name)})")
+        v = getattr(p, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"atom number {name} must be positive (got {v})")
     for name in ("lambda1", "lambda2"):
-        if getattr(p, name) < 0:
-            raise ValueError(f"coupling must be non-negative (got {name}={getattr(p, name)})")
+        v = getattr(p, name)
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"coupling must be non-negative (got {name}={v})")
     return p
 
 
@@ -179,11 +182,13 @@ def trivial_fixed_point(phase: Phase, p: ModelParams) -> SystemState:
     return SystemState(0.0, 0.0, (0.0, 0.0, s1 * p.n1 / 2.0), (0.0, 0.0, s2 * p.n2 / 2.0))
 
 
-def lambda_combined(p: ModelParams, phase: Phase) -> float:
+def lambda_combined(p: ModelParams, phase: Phase) -> float | np.ndarray:
     """Signed combined coupling s1*l1^2/omega1 + s2*l2^2/omega2.
 
     This single scalar drives both the zero-eigenvalue boundary and the
-    frequency-window roots of the pole fixed points.
+    frequency-window roots of the pole fixed points. The couplings of p may
+    be arrays, in which case the result is their elementwise broadcast.
+    Squares are products (x*x, correctly rounded), never pow().
     """
     s1, s2 = phase.signs
-    return s1 * p.lambda1**2 / p.omega1 + s2 * p.lambda2**2 / p.omega2
+    return s1 * (p.lambda1 * p.lambda1) / p.omega1 + s2 * (p.lambda2 * p.lambda2) / p.omega2

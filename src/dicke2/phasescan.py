@@ -3,25 +3,22 @@
 Each grid cell evaluates the spectrum at the chosen phase's pole fixed
 point (the classification authority) together with the analytic
 zero-eigenvalue indicator B and the frequency-window roots, so analytic
-and numeric pictures can be compared per cell. Cells are independent;
-the scan may fan out across threads with results written to pre-assigned
-slots, making the output identical for any worker count.
+and numeric pictures can be compared per cell. The scan works one lambda1
+row at a time: the row's pole Jacobians are stacked into one batched eig
+call, and only the cells whose spectrum lands in the near-marginal band go
+through the 30-digit refinement. B and the roots come from one array
+formula over the whole grid.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import ModelParams, Phase, trivial_fixed_point, validate_params
-from .stability import MARGINAL_TOL, assess, boundary_value, omega_pm
-
-
-class ScanError(RuntimeError):
-    """A cell evaluation failed; the message carries the cell coordinates."""
+from .stability import MARGINAL_TOL, _pole_indicators, _spectra, jacobian
 
 
 @dataclass(frozen=True)
@@ -49,13 +46,18 @@ class ScanCell:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Row-major cell list (lambda1 outer, lambda2 inner) plus boundary data."""
+    """Row-major cell list (lambda1 outer, lambda2 inner) plus boundary data.
+
+    refined_cells counts the cells whose spectrum was recomputed in 30-digit
+    arithmetic; it describes the run and is never written to data files.
+    """
 
     phase: Phase
     grid: GridSpec
     params: ModelParams
     cells: list[ScanCell]
     boundary_curve: np.ndarray
+    refined_cells: int = 0
 
 
 def validate_grid(grid: GridSpec) -> GridSpec:
@@ -65,7 +67,7 @@ def validate_grid(grid: GridSpec) -> GridSpec:
         count = getattr(grid, f"{axis}_count")
         if count < 2:
             raise ValueError(f"{axis}_count must be at least 2 (got {count})")
-        if not (hi > lo >= 0):
+        if not (math.isfinite(hi) and hi > lo >= 0):
             raise ValueError(f"{axis} window must satisfy max > min >= 0 (got [{lo}, {hi}])")
     return grid
 
@@ -77,55 +79,40 @@ def grid_values(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _eval_cell(phase: Phase, l1: float, l2: float, p: ModelParams) -> ScanCell:
-    q = replace(p, lambda1=float(l1), lambda2=float(l2))
-    report = assess(trivial_fixed_point(phase, q), q)
-    roots = omega_pm(phase, l1, l2, p)
-    return ScanCell(
-        lambda1=float(l1),
-        lambda2=float(l2),
-        superradiant=report.max_growth_rate > MARGINAL_TOL,
-        max_growth_rate=report.max_growth_rate,
-        boundary_b=boundary_value(phase, l1, l2, p),
-        omega_plus=roots.omega_plus,
-        omega_minus=roots.omega_minus,
-    )
+def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
+    """Classify every grid cell, one batched spectrum per lambda1 row.
 
-
-def scan(
-    phase: Phase, grid: GridSpec, p: ModelParams, workers: int | None = None
-) -> ScanResult:
-    """Classify every grid cell; deterministic for any worker count.
-
-    workers=None or 0 picks a worker count automatically; 1 runs serially.
+    Each cell's verdict and growth rate equal those of assess at that
+    cell's pole fixed point.
     """
     validate_params(p)
     validate_grid(grid)
     l1s, l2s = grid_values(grid)
-    if not workers:
-        workers = min(os.cpu_count() or 1, 8)
-
-    def eval_row(i: int) -> list[ScanCell]:
-        row = []
-        for j, l2 in enumerate(l2s):
-            try:
-                row.append(_eval_cell(phase, l1s[i], l2, p))
-            except Exception as exc:
-                raise ScanError(
-                    f"cell ({i}, {j}) at lambda1={l1s[i]!r}, lambda2={l2!r} failed: {exc}"
-                ) from exc
-        return row
-
-    if workers == 1:
-        rows = [eval_row(i) for i in range(grid.l1_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(eval_row, range(grid.l1_count)))
-    cells = [cell for row in rows for cell in row]
+    pole = trivial_fixed_point(phase, p).to_array()
+    growth = np.empty((grid.l1_count, grid.l2_count))
+    refined_cells = 0
+    for i, l1 in enumerate(l1s):
+        _, _, growth[i], refined = _spectra(jacobian(pole, replace(p, lambda1=l1, lambda2=l2s)))
+        refined_cells += int(refined.sum())
+    _, b, w_minus, w_plus = _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
+    w_plus, w_minus = (np.where(np.isnan(w), None, w) for w in (w_plus, w_minus))
+    rows = zip(l1s.tolist(), growth.tolist(), b.tolist(), w_plus.tolist(), w_minus.tolist())
+    cells = [
+        ScanCell(l1, l2, g > MARGINAL_TOL, g, bv, wp, wm)
+        for l1, *row in rows
+        for l2, g, bv, wp, wm in zip(l2s.tolist(), *row)
+    ]
     curve = analytic_boundary_curve(
         phase, p, samples=201, l1_max=grid.l1_max, l2_max=grid.l2_max
     )
-    return ScanResult(phase=phase, grid=grid, params=p, cells=cells, boundary_curve=curve)
+    return ScanResult(
+        phase=phase,
+        grid=grid,
+        params=p,
+        cells=cells,
+        boundary_curve=curve,
+        refined_cells=refined_cells,
+    )
 
 
 def analytic_boundary_curve(

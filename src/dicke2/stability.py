@@ -74,24 +74,28 @@ class BoundaryRoots:
 
 
 def jacobian(s, p: ModelParams) -> np.ndarray:
-    """Exact partial derivatives of eom_rhs at any state (not only fixed points)."""
+    """Exact partial derivatives of eom_rhs at any state (not only fixed points).
+
+    Broadcasts over leading axes: s may be a stack of states (..., 8) and
+    the couplings of p may be arrays; the result is a (..., 8, 8) stack.
+    """
     y = _as_array(s)
-    a1 = y[0]
-    j1y, j1z, j2y, j2z = y[3], y[4], y[6], y[7]
-    c1 = 2.0 * p.lambda1 / np.sqrt(p.n1)
-    c2 = 2.0 * p.lambda2 / np.sqrt(p.n2)
+    a1 = y[..., 0]
+    j1y, j1z, j2y, j2z = y[..., 3], y[..., 4], y[..., 6], y[..., 7]
+    c1 = 2.0 * np.asarray(p.lambda1) / np.sqrt(p.n1)
+    c2 = 2.0 * np.asarray(p.lambda2) / np.sqrt(p.n2)
     g1 = 2.0 * c1
     g2 = 2.0 * c2
-    jac = np.zeros((8, 8))
-    jac[0, 0], jac[0, 1] = -p.kappa, p.omega_c
-    jac[1, 0], jac[1, 1] = -p.omega_c, -p.kappa
-    jac[1, 2], jac[1, 5] = -c1, -c2
-    jac[2, 3] = -p.omega1
-    jac[3, 0], jac[3, 2], jac[3, 4] = -g1 * j1z, p.omega1, -g1 * a1
-    jac[4, 0], jac[4, 3] = g1 * j1y, g1 * a1
-    jac[5, 6] = -p.omega2
-    jac[6, 0], jac[6, 5], jac[6, 7] = -g2 * j2z, p.omega2, -g2 * a1
-    jac[7, 0], jac[7, 6] = g2 * j2y, g2 * a1
+    jac = np.zeros(np.broadcast_shapes(a1.shape, c1.shape, c2.shape) + (8, 8))
+    jac[..., 0, 0], jac[..., 0, 1] = -p.kappa, p.omega_c
+    jac[..., 1, 0], jac[..., 1, 1] = -p.omega_c, -p.kappa
+    jac[..., 1, 2], jac[..., 1, 5] = -c1, -c2
+    jac[..., 2, 3] = -p.omega1
+    jac[..., 3, 0], jac[..., 3, 2], jac[..., 3, 4] = -g1 * j1z, p.omega1, -g1 * a1
+    jac[..., 4, 0], jac[..., 4, 3] = g1 * j1y, g1 * a1
+    jac[..., 5, 6] = -p.omega2
+    jac[..., 6, 0], jac[..., 6, 5], jac[..., 6, 7] = -g2 * j2z, p.omega2, -g2 * a1
+    jac[..., 7, 0], jac[..., 7, 6] = g2 * j2y, g2 * a1
     return jac
 
 
@@ -110,9 +114,9 @@ def jacobian_fd(s, p: ModelParams, h: float = 1e-6) -> np.ndarray:
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real square matrix (dense, nonsymmetric)."""
+    """All eigenvalues of a real square matrix, or of each in a (..., n, n) stack."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -130,17 +134,37 @@ def _eigenvalues_refined(m: np.ndarray) -> np.ndarray:
     return np.array([complex(e) for e in ev])
 
 
-def _split_structural(eigs: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Attribute up to two near-zero eigenvalues to the conservation laws."""
-    near_zero = [
-        k
-        for k in range(len(eigs))
-        if abs(eigs[k].real) < STRUCTURAL_ZERO_TOL and abs(eigs[k].imag) < STRUCTURAL_ZERO_TOL
-    ]
-    near_zero.sort(key=lambda k: abs(eigs[k]))
-    structural = near_zero[:2]
-    rest = np.array([eigs[k] for k in range(len(eigs)) if k not in set(structural)])
-    return structural, rest
+def _split_structural(eigs: np.ndarray) -> np.ndarray:
+    """Mask the conservation-law modes of each spectrum in a (..., n) stack.
+
+    Up to two near-zero eigenvalues per spectrum are marked, smallest
+    magnitude first and ties in index order.
+    """
+    near_zero = (np.abs(eigs.real) < STRUCTURAL_ZERO_TOL) & (
+        np.abs(eigs.imag) < STRUCTURAL_ZERO_TOL
+    )
+    order = np.argsort(np.where(near_zero, np.abs(eigs), np.inf), axis=-1, kind="stable")
+    mask = np.zeros(eigs.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :2], True, axis=-1)
+    return mask & near_zero
+
+
+def _spectra(jac: np.ndarray):
+    """Classify a stack of Jacobians (n, 8, 8) with one batched eig call.
+
+    Returns the eigenvalues (n, 8), their structural-zero mask, the growth
+    rate (largest non-structural real part) per matrix, and a flag per matrix
+    telling whether its spectrum was recomputed in 30-digit arithmetic.
+    """
+    eigs = eigenvalues(jac).astype(complex)
+    rate = np.abs(eigs.real)
+    lo, hi = _REFINE_BAND
+    refined = np.any(~_split_structural(eigs) & (lo < rate) & (rate < hi), axis=-1)
+    for k in np.flatnonzero(refined):
+        eigs[k] = _eigenvalues_refined(jac[k])
+    structural = _split_structural(eigs)
+    growth = np.max(np.where(structural, -np.inf, eigs.real), axis=-1)
+    return eigs, structural, growth, refined
 
 
 def assess(fp, p: ModelParams) -> StabilityReport:
@@ -154,14 +178,8 @@ def assess(fp, p: ModelParams) -> StabilityReport:
         raise ValueError(
             f"state is not a fixed point: RHS max-norm {residual:.3e} exceeds {FIXED_POINT_TOL}"
         )
-    jac = jacobian(fp, p)
-    eigs = eigenvalues(jac)
-    _, rest = _split_structural(eigs)
-    lo, hi = _REFINE_BAND
-    if any(lo < abs(e.real) < hi for e in rest):
-        eigs = _eigenvalues_refined(jac)
-    structural, rest = _split_structural(eigs)
-    max_growth = float(np.max(rest.real))
+    eigs, structural, growth, _ = _spectra(jacobian(fp, p)[np.newaxis])
+    max_growth = float(growth[0])
     if abs(max_growth) < MARGINAL_TOL:
         verdict = Classification.MARGINAL
     elif max_growth > 0:
@@ -169,11 +187,24 @@ def assess(fp, p: ModelParams) -> StabilityReport:
     else:
         verdict = Classification.STABLE
     return StabilityReport(
-        eigenvalues=eigs,
-        structural_zero_count=len(structural),
+        eigenvalues=eigs[0],
+        structural_zero_count=int(structural[0].sum()),
         max_growth_rate=max_growth,
         classification=verdict,
     )
+
+
+def _pole_indicators(phase: Phase, q: ModelParams):
+    """Combined coupling L, indicator B and window roots (omega_-, omega_+).
+
+    The couplings of q may be arrays; every result broadcasts over them.
+    The roots are NaN where the discriminant 4L^2 - kappa^2 is negative.
+    """
+    lam = lambda_combined(q, phase)
+    b = -4.0 * q.omega_c * lam - (q.kappa**2 + q.omega_c**2)
+    disc = 4.0 * (lam * lam) - q.kappa**2
+    root = np.sqrt(np.where(disc < 0, np.nan, disc))
+    return lam, b, -2.0 * lam - root, -2.0 * lam + root
 
 
 def boundary_value(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> float:
@@ -183,8 +214,7 @@ def boundary_value(phase: Phase, lambda1: float, lambda2: float, p: ModelParams)
     plane; B > 0 marks the zero-frequency instability region.
     """
     q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
-    lam = lambda_combined(q, phase)
-    return -4.0 * p.omega_c * lam - (p.kappa**2 + p.omega_c**2)
+    return float(_pole_indicators(phase, q)[1])
 
 
 def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> BoundaryRoots:
@@ -195,9 +225,7 @@ def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> Bo
     Roots are absent (None) when 4L^2 < kappa^2.
     """
     q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
-    lam = lambda_combined(q, phase)
-    disc = 4.0 * lam**2 - p.kappa**2
-    if disc < 0:
-        return BoundaryRoots(None, None, lam)
-    root = np.sqrt(disc)
-    return BoundaryRoots(float(-2.0 * lam - root), float(-2.0 * lam + root), lam)
+    lam, _, w_minus, w_plus = _pole_indicators(phase, q)
+    if np.isnan(w_plus):
+        return BoundaryRoots(None, None, float(lam))
+    return BoundaryRoots(float(w_minus), float(w_plus), float(lam))

@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see one pass/fail line per
 criterion (printed even when the assertion fires).
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -30,6 +29,7 @@ from dicke2 import (
     solve_superradiant,
     trivial_fixed_point,
 )
+from dicke2.stability import MARGINAL_TOL
 
 UNIT = ModelParams()
 
@@ -239,13 +239,26 @@ def test_criterion_9_scan_determinism(tmp_path):
         "31",
     ]
     outputs = []
-    for threads in ("1", "8", "1"):
-        out = tmp_path / f"scan_{len(outputs)}.csv"
-        env = dict(os.environ, DICKE2_THREADS=threads)
-        proc = subprocess.run(
-            args + ["--out", str(out)], capture_output=True, text=True, env=env
-        )
+    for run in range(3):
+        out = tmp_path / f"scan_{run}.csv"
+        proc = subprocess.run(args + ["--out", str(out)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _report(9, "scan output byte-identical for DICKE2_THREADS=1 and 8", ok)
+    identical = outputs[0] == outputs[1] == outputs[2]
+    # Every row must also agree with the per-cell classifier.
+    data = [line for line in outputs[0].decode().splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in data[1:]]
+    mismatched = 0
+    for row in rows:
+        q = ModelParams(lambda1=float(row[0]), lambda2=float(row[1]))
+        report = assess(trivial_fixed_point(Phase.MIXED1, q), q)
+        verdict = "true" if report.max_growth_rate > MARGINAL_TOL else "false"
+        if float(row[3]) != report.max_growth_rate or row[2] != verdict:
+            mismatched += 1
+    ok = identical and len(rows) == 31 * 31 and mismatched == 0
+    _report(
+        9,
+        "scan output byte-identical over three runs and equal to per-cell assess",
+        ok,
+        f"identical={identical}, rows={len(rows)}, mismatched={mismatched}",
+    )

@@ -10,7 +10,6 @@ import numpy as np
 
 def run_cli(*argv, env_extra=None, check=True):
     env = dict(os.environ)
-    env.pop("DICKE2_THREADS", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -212,6 +211,20 @@ def test_missing_required_flag_is_usage_error():
     proc = run_cli("scan", check=False)  # --out missing
     assert proc.returncode == 2
     assert "usage" in (proc.stderr + proc.stdout).lower()
+
+
+def test_nonfinite_input_is_usage_error(tmp_path):
+    for argv in (
+        ("stability", "--lambda1", "nan"),
+        ("stability", "--omega-c", "inf"),
+        ("scan", "--l1-max", "inf", "--out", str(tmp_path / "s.csv")),
+        ("scan", "--l2-count", "1", "--out", str(tmp_path / "s.csv")),
+    ):
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 2, argv
+        assert "usage error" in proc.stderr
+        assert "Warning" not in proc.stderr
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_unknown_flag_is_usage_error():

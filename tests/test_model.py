@@ -95,6 +95,22 @@ class TestValidateParams:
         with pytest.raises(ValueError, match="atom number n1 must be positive"):
             validate_params(ModelParams(n1=0.0))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("omega1", "omega1 must be positive"),
+            ("omega_c", "omega_c must be positive"),
+            ("kappa", "kappa must be positive"),
+            ("n2", "atom number n2 must be positive"),
+            ("lambda1", "coupling must be non-negative"),
+            ("lambda2", "coupling must be non-negative"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, field, message, value):
+        with pytest.raises(ValueError, match=message):
+            validate_params(ModelParams(**{field: value}))
+
 
 class TestCouplingFromPump:
     def test_direct_arithmetic(self):

@@ -1,5 +1,7 @@
 """Jacobian, eigen kernel, classification, analytic boundaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,20 @@ class TestJacobian:
     def test_fd_rejects_bad_step(self):
         with pytest.raises(ValueError, match="positive"):
             jacobian_fd(np.zeros(8), UNIT, 0.0)
+
+    def test_broadcasts_over_states_and_couplings(self):
+        rng = np.random.default_rng(28)
+        p = random_params(rng)
+        states = np.stack([random_state(rng) for _ in range(3)])
+        l2s = rng.uniform(0.0, 1.5, 5)
+        batch = jacobian(states[:, None, :], replace(p, lambda2=l2s))
+        assert batch.shape == (3, 5, 8, 8)
+        ev = eigenvalues(batch)
+        for i, y in enumerate(states):
+            for j, l2 in enumerate(l2s):
+                single = jacobian(y, replace(p, lambda2=float(l2)))
+                assert np.array_equal(batch[i, j], single)
+                assert np.array_equal(ev[i, j], eigenvalues(single))
 
 
 class TestEigenvalues:
