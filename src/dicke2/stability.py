@@ -149,7 +149,7 @@ def _split_structural(eigs: np.ndarray) -> np.ndarray:
     return mask & near_zero
 
 
-def _spectra(jac: np.ndarray):
+def _spectra(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classify a stack of Jacobians (n, 8, 8) with one batched eig call.
 
     Returns the eigenvalues (n, 8), their structural-zero mask, the growth
@@ -194,7 +194,7 @@ def assess(fp, p: ModelParams) -> StabilityReport:
     )
 
 
-def _pole_indicators(phase: Phase, q: ModelParams):
+def _pole_indicators(phase: Phase, q: ModelParams) -> tuple:
     """Combined coupling L, indicator B and window roots (omega_-, omega_+).
 
     The couplings of q may be arrays; every result broadcasts over them.
