@@ -4,7 +4,9 @@ Subcommands: simulate, stability, scan, boundary, fixed-points. Option
 precedence is command-line flag > config-file entry > built-in default,
 and the effective configuration is echoed into a '#'-prefixed metadata
 header of every output; stripping '#' lines leaves pure machine-readable
-data. Numbers are written in shortest round-trip decimal form.
+data. Numbers are written in shortest round-trip decimal form. Run
+statistics (timings and work counters) go only to the optional --stats
+JSON file, never into the data output.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .dynamics import IntegratorConfig, integrate
+from .dynamics import IntegratorConfig, integrate, validate_config
 from .model import (
     ModelParams,
     Phase,
@@ -144,13 +147,18 @@ def _grid_from(cfg: dict) -> GridSpec:
 
 def _integrator_from(cfg: dict) -> IntegratorConfig:
     max_step = cfg["max_step"]
-    return IntegratorConfig(
-        rel_tol=float(cfg["rel_tol"]),
-        abs_tol=float(cfg["abs_tol"]),
-        max_step=np.inf if max_step is None else float(max_step),
-        t_final=float(cfg["t_final"]),
-        sample_interval=float(cfg["sample_interval"]),
-    )
+    try:
+        return validate_config(
+            IntegratorConfig(
+                rel_tol=float(cfg["rel_tol"]),
+                abs_tol=float(cfg["abs_tol"]),
+                max_step=np.inf if max_step is None else float(max_step),
+                t_final=float(cfg["t_final"]),
+                sample_interval=float(cfg["sample_interval"]),
+            )
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _phase_from(cfg: dict) -> Phase:
@@ -194,23 +202,28 @@ def _state_dict(s: SystemState) -> dict:
 
 
 def _initial_state(cfg: dict, p: ModelParams) -> np.ndarray:
-    if cfg["state"] is not None:
-        parts = [float(x) for x in str(cfg["state"]).split(",")]
-        if len(parts) != 8:
-            raise UsageError("--state needs 8 comma-separated components")
-        return np.array(parts)
-    y0 = trivial_fixed_point(_phase_from(cfg), p).to_array()
-    y0[0] += float(cfg["a1"])
-    y0[1] += float(cfg["a2"])
-    eps = float(cfg["perturb"])
-    # The perturbation seeds the cavity and tilts both spins off their poles.
-    y0[0] += eps
-    y0[2] += eps
-    y0[5] += eps
+    try:
+        if cfg["state"] is not None:
+            y0 = np.array([float(x) for x in str(cfg["state"]).split(",")])
+            if len(y0) != 8:
+                raise UsageError("--state needs 8 comma-separated components")
+        else:
+            y0 = trivial_fixed_point(_phase_from(cfg), p).to_array()
+            y0[0] += float(cfg["a1"])
+            y0[1] += float(cfg["a2"])
+            eps = float(cfg["perturb"])
+            # The perturbation seeds the cavity and tilts both spins off their poles.
+            y0[0] += eps
+            y0[2] += eps
+            y0[5] += eps
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not np.all(np.isfinite(y0)):
+        raise UsageError(f"initial state components must be finite (got {y0.tolist()})")
     return y0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], dict]:
     keys = _PARAM_KEYS + _INTEGRATOR_KEYS + ("phase", "a1", "a2", "perturb", "state", "format")
     cfg = _effective(args, keys)
     p = _params_from(cfg)
@@ -220,11 +233,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for i, t in enumerate(traj.times):
         fields = [_fmt(t)] + [_fmt(v) for v in traj.states[i]] + [_fmt(traj.drift[i].max())]
         lines.append(",".join(fields))
-    _write_output(args.out, lines)
-    return 0
+    return lines, {"nfev": traj.nfev}
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
+def cmd_stability(args: argparse.Namespace) -> tuple[list[str], dict]:
     keys = _PARAM_KEYS + ("phase", "format")
     cfg = _effective(args, keys, overrides={"format": "json"})
     p = _params_from(cfg)
@@ -242,8 +254,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         "omega_plus": roots.omega_plus,
         "omega_minus": roots.omega_minus,
     }
-    _write_output(args.out, _meta_lines("stability", cfg) + _json_block(payload))
-    return 0
+    return _meta_lines("stability", cfg) + _json_block(payload), {}
 
 
 def _scan_csv(result) -> list[str]:
@@ -281,7 +292,7 @@ def _scan_matrix(result, field: str) -> list[str]:
     return lines
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> tuple[list[str], dict]:
     keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "format", "value")
     cfg = _effective(args, keys)
     p = _params_from(cfg)
@@ -293,30 +304,29 @@ def cmd_scan(args: argparse.Namespace) -> int:
         lines += _scan_json(result)
     else:
         lines += _scan_matrix(result, str(cfg["value"]))
-    _write_output(args.out, lines)
-    return 0
+    return lines, {"cells": len(result.cells), "refined_cells": result.refined_cells}
 
 
-def cmd_boundary(args: argparse.Namespace) -> int:
+def cmd_boundary(args: argparse.Namespace) -> tuple[list[str], dict]:
     keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "samples", "format")
     cfg = _effective(args, keys)
     p = _params_from(cfg)
+    grid = _grid_from(cfg)
     curve = analytic_boundary_curve(
         _phase_from(cfg),
         p,
         samples=int(cfg["samples"]),
-        l1_max=float(cfg["l1_max"]),
-        l2_max=float(cfg["l2_max"]),
+        l1_max=grid.l1_max,
+        l2_max=grid.l2_max,
     )
     lines = _meta_lines("boundary", cfg)
     lines.append("lambda1,lambda2")
     for l1, l2 in curve:
         lines.append(f"{_fmt(l1)},{_fmt(l2)}")
-    _write_output(args.out, lines)
-    return 0
+    return lines, {}
 
 
-def cmd_fixed_points(args: argparse.Namespace) -> int:
+def cmd_fixed_points(args: argparse.Namespace) -> tuple[list[str], dict]:
     keys = _PARAM_KEYS + ("format",)
     cfg = _effective(args, keys, overrides={"format": "json"})
     p = _params_from(cfg)
@@ -346,6 +356,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
         add(fp, phase.name.lower(), res, None)
 
     failures = []
+    newton_iterations = 0
     if p.lambda1 > 0 or p.lambda2 > 0:
         for seed in _FP_SEEDS:
             try:
@@ -353,11 +364,12 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
             except NewtonError as exc:
                 failures.append({"seed": list(seed), "error": str(exc)})
                 continue
+            newton_iterations += sol.newton_iterations
             add(sol.state, sol.branch, sol.residual_norm, sol.newton_iterations)
 
     payload = {"fixed_points": entries, "failures": failures}
-    _write_output(args.out, _meta_lines("fixed-points", cfg) + _json_block(payload))
-    return 0
+    lines = _meta_lines("fixed-points", cfg) + _json_block(payload)
+    return lines, {"newton_iterations": newton_iterations}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--phase", choices=["normal", "inverted", "mixed1", "mixed2"])
     common.add_argument("--config", help="JSON config file (flags override its entries)")
     common.add_argument("--out", help="output path (stdout when omitted where allowed)")
+    common.add_argument("--stats", help="write run timings and work counters as JSON to this path")
 
     grid = argparse.ArgumentParser(add_help=False)
     for key in _GRID_KEYS:
@@ -417,7 +430,19 @@ def main(argv=None) -> int:
     if args.out_required and not args.out:
         parser.error(f"{args.command}: --out is required")
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        lines, counters = args.func(args)
+        t1 = time.perf_counter()
+        _write_output(args.out, lines)
+        if args.stats:
+            stats = {
+                "command": args.command,
+                "compute_s": t1 - t0,
+                "write_s": time.perf_counter() - t1,
+                **counters,
+            }
+            _write_output(args.stats, _json_block(stats))
+        return 0
     except UsageError as exc:
         print(f"dicke2: usage error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import ModelParams, SystemState, eom_rhs, spin_norm_residual, validate_params
 
@@ -41,12 +41,14 @@ class Trajectory:
 
     states holds one row per sample in the shared 8-component layout;
     drift holds the running maximum of the relative spin-norm residual
-    |r_i| / (n_i/2)^2, one column per species.
+    |r_i| / (n_i/2)^2, one column per species; nfev counts the
+    right-hand-side evaluations the integrator made.
     """
 
     times: np.ndarray
     states: np.ndarray
     drift: np.ndarray
+    nfev: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -57,16 +59,21 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SettleResult:
+    """Outcome of settle; nfev is 0 when the initial state already settled."""
+
     converged: bool
     final_state: SystemState
     residual_norm: float
     elapsed_time: float
+    nfev: int = 0
 
 
 def validate_config(cfg: IntegratorConfig) -> IntegratorConfig:
+    """Require positive, finite settings; max_step may be inf (no step cap)."""
     for name in ("rel_tol", "abs_tol", "max_step", "t_final", "sample_interval"):
-        if not getattr(cfg, name) > 0:
-            raise ValueError(f"{name} must be positive (got {getattr(cfg, name)})")
+        value = getattr(cfg, name)
+        if not (value > 0 and (math.isfinite(value) or name == "max_step")):
+            raise ValueError(f"{name} must be positive (got {value})")
     return cfg
 
 
@@ -89,6 +96,9 @@ def integrate(s0, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """
     validate_params(p)
     validate_config(cfg)
+    # Imported here: it dominates start-up, and only integrating commands need it.
+    from scipy.integrate import solve_ivp
+
     y0 = s0.to_array() if isinstance(s0, SystemState) else np.asarray(s0, dtype=float)
     times = _sample_times(cfg)
     sol = solve_ivp(
@@ -106,7 +116,7 @@ def integrate(s0, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
         raise IntegrationError(f"integration failed at t={t_fail}: {sol.message}", t_fail)
     states = sol.y.T
     drift = _running_drift(states, p)
-    return Trajectory(times=sol.t, states=states, drift=drift)
+    return Trajectory(times=sol.t, states=states, drift=drift, nfev=int(sol.nfev))
 
 
 def _running_drift(states: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -140,9 +150,9 @@ def settle(
     for i in range(1, len(traj)):
         r = float(np.max(np.abs(eom_rhs(traj.states[i], p))))
         if r < threshold:
-            return SettleResult(True, traj.state(i), r, float(traj.times[i]))
+            return SettleResult(True, traj.state(i), r, float(traj.times[i]), traj.nfev)
     r_end = float(np.max(np.abs(eom_rhs(traj.states[-1], p))))
-    return SettleResult(False, traj.state(-1), r_end, float(traj.times[-1]))
+    return SettleResult(False, traj.state(-1), r_end, float(traj.times[-1]), traj.nfev)
 
 
 def drift_report(t: Trajectory) -> tuple[float, float]:

@@ -9,7 +9,6 @@ Jacobian valid at superradiant (non-pole) fixed points as well.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -123,13 +122,13 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-# mpmath's working precision is process-global, so refinements serialize.
-_REFINE_LOCK = threading.Lock()
-
-
 def _eigenvalues_refined(m: np.ndarray) -> np.ndarray:
-    """Spectrum recomputed in 30-digit arithmetic (slow, exact input)."""
-    with _REFINE_LOCK, mpmath.workdps(_REFINE_DPS):
+    """Spectrum recomputed in 30-digit arithmetic (slow, exact input).
+
+    workdps sets mpmath's process-global precision only for this call and
+    restores it afterwards; the package runs no threads that could share it.
+    """
+    with mpmath.workdps(_REFINE_DPS):
         ev = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
     return np.array([complex(e) for e in ev])
 

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 
+from dicke2.cli import main
+
 
 def run_cli(*argv, env_extra=None, check=True):
     env = dict(os.environ)
@@ -219,12 +221,65 @@ def test_nonfinite_input_is_usage_error(tmp_path):
         ("stability", "--omega-c", "inf"),
         ("scan", "--l1-max", "inf", "--out", str(tmp_path / "s.csv")),
         ("scan", "--l2-count", "1", "--out", str(tmp_path / "s.csv")),
+        ("simulate", "--t-final", "nan", "--out", str(tmp_path / "s.csv")),
+        ("simulate", "--state", "0,0,0,0,nan,0,0,-0.5", "--out", str(tmp_path / "s.csv")),
+        ("boundary", "--phase", "mixed2", "--l1-max", "inf", "--out", str(tmp_path / "s.csv")),
     ):
         proc = run_cli(*argv, check=False)
         assert proc.returncode == 2, argv
         assert "usage error" in proc.stderr
         assert "Warning" not in proc.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_only_integration_imports_scipy_integrate(tmp_path):
+    # scipy.integrate dominates start-up, so commands that never integrate
+    # must not load it, and neither may input that simulate rejects.
+    script = "\n".join(
+        [
+            "import sys",
+            "import dicke2, dicke2.cli",
+            "dicke2.cli.main(['stability', '--lambda1', '0.5', '--lambda2', '0.5'])",
+            f"dicke2.cli.main(['simulate', '--t-final', 'nan', '--out', {str(tmp_path / 'x.csv')!r}])",
+            "print('scipy.integrate' in sys.modules)",
+            "y0 = [0, 0, 0, 0, -0.5, 0, 0, -0.5]",
+            "dicke2.integrate(y0, dicke2.ModelParams(), dicke2.IntegratorConfig(t_final=0.1))",
+            "print('scipy.integrate' in sys.modules)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+
+
+def test_stats_file_is_a_side_channel(tmp_path, capsys):
+    readme = {
+        "scan": ["scan", "--phase", "mixed1", "--format", "matrix", "--value", "omega_plus"],
+        "simulate": [
+            "simulate", "--phase", "mixed1", "--lambda2", "1", "--perturb", "1e-3",
+            "--t-final", "200",
+        ],
+        "fixed-points": ["fixed-points", "--lambda1", "0", "--lambda2", "1"],
+    }
+    stats = {}
+    for command, argv in readme.items():
+        stats_path = tmp_path / f"{command}.json"
+        outputs = []
+        for extra in ([], ["--stats", str(stats_path)]):
+            out = tmp_path / f"{command}{len(extra)}.out"
+            to_file = [] if command == "fixed-points" else ["--out", str(out)]
+            assert main([*argv, *to_file, *extra]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes() if to_file else None))
+        assert outputs[0] == outputs[1]
+        stats[command] = json.loads(stats_path.read_text())
+        assert stats[command]["command"] == command
+        assert stats[command]["compute_s"] > 0 and stats[command]["write_s"] >= 0
+    assert stats["scan"]["cells"] == 61 * 61
+    assert 0 < stats["scan"]["refined_cells"] < stats["scan"]["cells"]
+    assert stats["simulate"]["nfev"] > 0
+    assert stats["fixed-points"]["newton_iterations"] > 0
 
 
 def test_unknown_flag_is_usage_error():

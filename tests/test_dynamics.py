@@ -66,6 +66,7 @@ def test_settle_at_exact_fixed_point_is_immediate():
     assert res.converged
     assert res.elapsed_time == 0.0
     assert res.residual_norm == 0.0
+    assert res.nfev == 0
 
 
 def test_settle_reaches_partial_superradiant_branch():
@@ -75,6 +76,7 @@ def test_settle_reaches_partial_superradiant_branch():
     cfg = IntegratorConfig(t_final=300.0, sample_interval=1.0)
     res = settle(y0, p, cfg)
     assert res.converged
+    assert res.nfev > 0
     assert res.final_state.j2[2] == pytest.approx(-0.25, abs=1e-6)
     assert abs(res.final_state.j1[2] + 0.5) < 1e-12  # decoupled species stays put
 
@@ -173,3 +175,11 @@ def test_config_validation():
         integrate(np.zeros(8), UNIT, IntegratorConfig(t_final=0.0))
     with pytest.raises(ValueError, match="rel_tol"):
         integrate(np.zeros(8), UNIT, IntegratorConfig(rel_tol=-1e-9))
+    for name in ("rel_tol", "abs_tol", "t_final", "sample_interval"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                integrate(np.zeros(8), UNIT, IntegratorConfig(**{name: bad}))
+    with pytest.raises(ValueError, match="max_step"):
+        settle(np.zeros(8), UNIT, IntegratorConfig(max_step=np.nan))
+    # An infinite max_step means no cap on the step size.
+    assert len(integrate(np.zeros(8), UNIT, IntegratorConfig(max_step=np.inf, t_final=0.1))) == 2
