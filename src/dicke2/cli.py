@@ -233,7 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], dict]:
     for i, t in enumerate(traj.times):
         fields = [_fmt(t)] + [_fmt(v) for v in traj.states[i]] + [_fmt(traj.drift[i].max())]
         lines.append(",".join(fields))
-    return lines, {"nfev": traj.nfev}
+    return lines, {"nfev": traj.nfev, "steps": traj.steps}
 
 
 def cmd_stability(args: argparse.Namespace) -> tuple[list[str], dict]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,15 @@ class Trajectory:
 
     states holds one row per sample in the shared 8-component layout;
     drift holds the running maximum of the relative spin-norm residual
-    |r_i| / (n_i/2)^2, one column per species; nfev counts the
-    right-hand-side evaluations the integrator made.
+    |r_i| / (n_i/2)^2, one column per species; nfev and steps count the
+    integrator's right-hand-side evaluations and accepted steps.
     """
 
     times: np.ndarray
     states: np.ndarray
     drift: np.ndarray
     nfev: int = 0
+    steps: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -59,13 +61,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SettleResult:
-    """Outcome of settle; nfev is 0 when the initial state already settled."""
+    """Outcome of settle; nfev and steps are 0 when the initial state already settled."""
 
     converged: bool
     final_state: SystemState
     residual_norm: float
     elapsed_time: float
     nfev: int = 0
+    steps: int = 0
 
 
 def validate_config(cfg: IntegratorConfig) -> IntegratorConfig:
@@ -87,6 +90,59 @@ def _sample_times(cfg: IntegratorConfig) -> np.ndarray:
     return times
 
 
+def _samples(s0, p: ModelParams, cfg: IntegratorConfig, times: np.ndarray):
+    """Yield (state, nfev, steps so far) at each sample time, starting with s0.
+
+    Each later sample is one run of SciPy's compiled dop853 from the one
+    before, so no sample depends on where a caller stops. An exception in
+    the RHS (Ctrl-C included) is stored and NaNs returned, which make the
+    Fortran loop reject steps until it gives up; it is then re-raised.
+    """
+    y = s0.to_array() if isinstance(s0, SystemState) else np.asarray(s0, dtype=float)
+    if y.shape != (8,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"initial state must be 8 finite numbers (got {y.tolist()})")
+    yield y, 0, 0
+    # Imported here: it dominates start-up, and only integrating calls need it.
+    from scipy.integrate import ode
+
+    counts = [0, 0]  # RHS evaluations; solout calls, one per accepted step and per run
+    error: list[BaseException] = []
+
+    def rhs(t, y):
+        if not error:
+            counts[0] += 1
+            try:
+                return eom_rhs(y, p)
+            except BaseException as exc:
+                # A Ctrl-C at a callback's entry escapes every try; the next
+                # callback then fails with a SystemError caused by it.
+                while isinstance(exc, SystemError) and exc.__cause__ is not None:
+                    exc = exc.__cause__
+                error.append(exc)
+        return np.full(8, np.nan)
+
+    def solout(t, y):
+        counts[1] += 1
+
+    max_step = 0.0 if math.isinf(cfg.max_step) else cfg.max_step  # 0 means no cap
+    solver = ode(rhs).set_integrator(
+        "dop853", rtol=cfg.rel_tol, atol=cfg.abs_tol, nsteps=2**31 - 1, max_step=max_step
+    )
+    solver.set_solout(solout)
+    solver.set_initial_value(y, times[0])
+    for k, t in enumerate(times[1:], start=1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            y = solver.integrate(t)
+        if error:
+            raise error[0]
+        if solver.get_return_code() < 0:
+            t_fail = float(solver.t)
+            msg = f"integration failed at t={t_fail}: dop853 code {solver.get_return_code()}"
+            raise IntegrationError(msg, t_fail)
+        yield y, counts[0], counts[1] - k
+
+
 def integrate(s0, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the equations of motion and sample at a fixed cadence.
 
@@ -96,27 +152,12 @@ def integrate(s0, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """
     validate_params(p)
     validate_config(cfg)
-    # Imported here: it dominates start-up, and only integrating commands need it.
-    from scipy.integrate import solve_ivp
-
-    y0 = s0.to_array() if isinstance(s0, SystemState) else np.asarray(s0, dtype=float)
     times = _sample_times(cfg)
-    sol = solve_ivp(
-        lambda t, y: eom_rhs(y, p),
-        (0.0, cfg.t_final),
-        y0,
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        t_eval=times,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(f"integration failed at t={t_fail}: {sol.message}", t_fail)
-    states = sol.y.T
+    samples = list(_samples(s0, p, cfg, times))
+    states = np.array([y for y, _, _ in samples])
+    _, nfev, steps = samples[-1]
     drift = _running_drift(states, p)
-    return Trajectory(times=sol.t, states=states, drift=drift, nfev=int(sol.nfev))
+    return Trajectory(times=times, states=states, drift=drift, nfev=nfev, steps=steps)
 
 
 def _running_drift(states: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -136,23 +177,19 @@ def settle(
 ) -> SettleResult:
     """Integrate until the RHS max-norm drops below threshold, if ever.
 
-    Convergence is checked at t=0 and then at every sample; reaching
-    t_final without meeting the threshold is a normal outcome (undamped
-    precession never settles) and is reported, not raised.
+    Convergence is checked at t=0 and then at every sample of `integrate`,
+    stopping at the first one under the threshold. Reaching t_final without
+    meeting it is a normal outcome (undamped precession never settles) and
+    is reported, not raised.
     """
     validate_params(p)
     validate_config(cfg)
-    y0 = s0.to_array() if isinstance(s0, SystemState) else np.asarray(s0, dtype=float)
-    r0 = float(np.max(np.abs(eom_rhs(y0, p))))
-    if r0 < threshold:
-        return SettleResult(True, SystemState.from_array(y0), r0, 0.0)
-    traj = integrate(y0, p, cfg)
-    for i in range(1, len(traj)):
-        r = float(np.max(np.abs(eom_rhs(traj.states[i], p))))
+    times = _sample_times(cfg)
+    for k, (y, nfev, steps) in enumerate(_samples(s0, p, cfg, times)):
+        r = float(np.max(np.abs(eom_rhs(y, p))))
         if r < threshold:
-            return SettleResult(True, traj.state(i), r, float(traj.times[i]), traj.nfev)
-    r_end = float(np.max(np.abs(eom_rhs(traj.states[-1], p))))
-    return SettleResult(False, traj.state(-1), r_end, float(traj.times[-1]), traj.nfev)
+            break
+    return SettleResult(r < threshold, SystemState.from_array(y), r, float(times[k]), nfev, steps)
 
 
 def drift_report(t: Trajectory) -> tuple[float, float]:

@@ -146,12 +146,13 @@ def eom_rhs(s, p: ModelParams) -> np.ndarray:
         dJiz/dt =  (4*l_i/sqrt(n_i))*a1*Jiy
 
     Accepts a SystemState or a raw 8-vector (the integrator uses the
-    latter). Each spin's norm is an exact constant of this flow.
+    latter). Each spin's norm is an exact constant of this flow. The
+    arithmetic runs on Python floats: the integrator calls this function
+    once per stage, and numpy scalars would cost twice as much per call.
     """
-    y = _as_array(s)
-    a1, a2, j1x, j1y, j1z, j2x, j2y, j2z = y
-    c1 = 2.0 * p.lambda1 / np.sqrt(p.n1)
-    c2 = 2.0 * p.lambda2 / np.sqrt(p.n2)
+    a1, a2, j1x, j1y, j1z, j2x, j2y, j2z = _as_array(s).tolist()
+    c1 = 2.0 * p.lambda1 / math.sqrt(p.n1)
+    c2 = 2.0 * p.lambda2 / math.sqrt(p.n2)
     g1 = 2.0 * c1
     g2 = 2.0 * c2
     return np.array(

@@ -1,9 +1,13 @@
 """Integration accuracy, conservation drift, settling behavior."""
 
+import time
+
 import numpy as np
 import pytest
 
+from dicke2 import dynamics
 from dicke2 import (
+    IntegrationError,
     IntegratorConfig,
     ModelParams,
     Phase,
@@ -18,6 +22,14 @@ from dicke2 import (
 )
 
 UNIT = ModelParams()
+README_P = ModelParams(lambda1=0.0, lambda2=1.0)
+README_CFG = IntegratorConfig(t_final=300.0, sample_interval=1.0)
+
+
+def readme_y0():
+    y0 = trivial_fixed_point(Phase.MIXED1, README_P).to_array()
+    y0[5] += 1e-3  # tilt species 2 off its (unstable) north pole
+    return y0
 
 
 def test_decoupled_cavity_decays_exponentially():
@@ -66,17 +78,13 @@ def test_settle_at_exact_fixed_point_is_immediate():
     assert res.converged
     assert res.elapsed_time == 0.0
     assert res.residual_norm == 0.0
-    assert res.nfev == 0
+    assert res.nfev == 0 and res.steps == 0
 
 
 def test_settle_reaches_partial_superradiant_branch():
-    p = ModelParams(lambda1=0.0, lambda2=1.0)
-    y0 = trivial_fixed_point(Phase.MIXED1, p).to_array()
-    y0[5] += 1e-3  # tilt species 2 off its (unstable) north pole
-    cfg = IntegratorConfig(t_final=300.0, sample_interval=1.0)
-    res = settle(y0, p, cfg)
-    assert res.converged
-    assert res.nfev > 0
+    res = settle(readme_y0(), README_P, README_CFG)
+    assert res.converged and res.elapsed_time < README_CFG.t_final
+    assert 0 < res.steps < res.nfev
     assert res.final_state.j2[2] == pytest.approx(-0.25, abs=1e-6)
     assert abs(res.final_state.j1[2] + 0.5) < 1e-12  # decoupled species stays put
 
@@ -183,3 +191,101 @@ def test_config_validation():
         settle(np.zeros(8), UNIT, IntegratorConfig(max_step=np.nan))
     # An infinite max_step means no cap on the step size.
     assert len(integrate(np.zeros(8), UNIT, IntegratorConfig(max_step=np.inf, t_final=0.1))) == 2
+
+
+def test_initial_state_must_be_eight_finite_numbers():
+    good = readme_y0()
+    cfg = IntegratorConfig(t_final=1.0)
+    nan, inf = good.copy(), good.copy()
+    nan[4], inf[0] = np.nan, np.inf
+    for bad in (nan, inf, good[:7], np.append(good, 0.0)):
+        for run in (integrate, settle):
+            with pytest.raises(ValueError, match="8 finite numbers"):
+                run(bad, README_P, cfg)
+
+
+def _oracle(y0, p, times):
+    """SciPy's solve_ivp DOP853 at tight tolerances: the reference the program no longer uses."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda t, y: eom_rhs(y, p), (0.0, times[-1]), y0, method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=times)
+    assert sol.success
+    return sol.y.T
+
+
+NON_CHAOTIC_CASES = {
+    "readme_settle": (readme_y0(), README_P, README_CFG),
+    "free_precession": (
+        np.array([0.0, 0.0, 0.3, 0.0, -0.4, 0.25, 0.0, np.sqrt(0.25 - 0.25**2)]),
+        ModelParams(omega1=1.3, omega2=0.7),
+        IntegratorConfig(t_final=100.0, sample_interval=0.5),
+    ),
+    "kicked_stable_detuned_pole": (
+        trivial_fixed_point(Phase.NORMAL, ModelParams(omega2=1.3)).to_array()
+        + 1e-4 * np.array([1.0, -1.0, 1.0, 0.5, 0.0, -0.5, 1.0, 0.0]),
+        ModelParams(omega2=1.3, lambda1=0.3, lambda2=0.3),
+        IntegratorConfig(t_final=200.0, sample_interval=2.0),
+    ),
+    "decoupled_cavity": (
+        np.array([1.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0, -0.5]),
+        UNIT,
+        IntegratorConfig(t_final=5.0, sample_interval=0.25),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CHAOTIC_CASES))
+def test_integrate_matches_tight_tolerance_oracle_at_every_sample(case):
+    y0, p, cfg = NON_CHAOTIC_CASES[case]
+    traj = integrate(y0, p, cfg)
+    assert np.max(np.abs(traj.states - _oracle(y0, p, traj.times))) < 2e-9
+
+
+@pytest.mark.parametrize("case", sorted(NON_CHAOTIC_CASES))
+def test_settle_stops_at_a_sample_of_the_full_run(case):
+    y0, p, cfg = NON_CHAOTIC_CASES[case]
+    traj = integrate(y0, p, cfg)
+    res = settle(y0, p, cfg)
+    k = int(np.flatnonzero(traj.times == res.elapsed_time)[0])
+    assert np.array_equal(res.final_state.to_array(), traj.states[k])
+    residuals = [np.max(np.abs(eom_rhs(y, p))) for y in traj.states[: k + 1]]
+    assert res.residual_norm == residuals[-1]
+    assert res.converged == (residuals[-1] < 1e-9)
+    assert all(r >= 1e-9 for r in residuals[:-1])
+    if res.converged and res.elapsed_time < cfg.t_final:
+        assert res.nfev < traj.nfev and res.steps < traj.steps
+    else:
+        assert (res.nfev, res.steps) == (traj.nfev, traj.steps)
+
+
+def _patched_rhs(monkeypatch, after, outcome):
+    calls = [0]
+
+    def rhs(y, p):
+        calls[0] += 1
+        if calls[0] > after:
+            if outcome == "nan":
+                return np.full(8, np.nan)
+            raise outcome()
+        return eom_rhs(y, p)
+
+    monkeypatch.setattr(dynamics, "eom_rhs", rhs)
+    return calls
+
+
+def test_nan_rhs_raises_integration_error_with_failure_time(monkeypatch):
+    _patched_rhs(monkeypatch, 2000, "nan")
+    with pytest.raises(IntegrationError) as info:
+        integrate(readme_y0(), README_P, README_CFG)
+    assert 0 < info.value.t_failed < README_CFG.t_final
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, KeyboardInterrupt])
+def test_exception_in_rhs_stops_integration_promptly(monkeypatch, exc):
+    calls = _patched_rhs(monkeypatch, 2000, exc)
+    t0 = time.perf_counter()
+    with pytest.raises(exc):
+        integrate(readme_y0(), README_P, README_CFG)
+    assert time.perf_counter() - t0 < 1.0
+    assert calls[0] == 2001  # no evaluation after the one that raised
