@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -38,39 +38,23 @@ CELL_FIELDS = (
     "lambda1", "lambda2", "superradiant", "max_growth_rate", "boundary_b", "omega_plus", "omega_minus"
 )
 
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
+_GRID_KEYS = tuple(f.name for f in fields(GridSpec))
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
+
 DEFAULTS: dict = {
-    "omega1": 1.0,
-    "omega2": 1.0,
-    "omega_c": 1.0,
-    "kappa": 1.0,
-    "n1": 1.0,
-    "n2": 1.0,
-    "lambda1": 0.0,
-    "lambda2": 0.0,
+    **{f.name: f.default for cls in (ModelParams, GridSpec, IntegratorConfig) for f in fields(cls)},
+    # No cap is echoed as null; _integrator_from maps None to inf.
+    "max_step": None,
     "phase": "normal",
     "format": "csv",
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "max_step": None,
-    "t_final": 100.0,
-    "sample_interval": 0.1,
     "a1": 0.0,
     "a2": 0.0,
     "perturb": 0.0,
     "state": None,
-    "l1_min": 0.0,
-    "l1_max": 1.5,
-    "l1_count": 61,
-    "l2_min": 0.0,
-    "l2_max": 1.5,
-    "l2_count": 61,
     "samples": 101,
     "value": "max_growth_rate",
 }
-
-_PARAM_KEYS = ("omega1", "omega2", "omega_c", "kappa", "n1", "n2", "lambda1", "lambda2")
-_GRID_KEYS = ("l1_min", "l1_max", "l1_count", "l2_min", "l2_max", "l2_count")
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "t_final", "sample_interval")
 
 # Default Newton seeds (theta1, theta2, a1) for the fixed-points command:
 # both cavity signs plus one-species-dominant tilts.
@@ -131,16 +115,7 @@ def _params_from(cfg: dict) -> ModelParams:
 
 def _grid_from(cfg: dict) -> GridSpec:
     try:
-        return validate_grid(
-            GridSpec(
-                l1_min=float(cfg["l1_min"]),
-                l1_max=float(cfg["l1_max"]),
-                l1_count=int(cfg["l1_count"]),
-                l2_min=float(cfg["l2_min"]),
-                l2_max=float(cfg["l2_max"]),
-                l2_count=int(cfg["l2_count"]),
-            )
-        )
+        return validate_grid(GridSpec(**{k: type(DEFAULTS[k])(cfg[k]) for k in _GRID_KEYS}))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -390,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = argparse.ArgumentParser(add_help=False)
     for key in _GRID_KEYS:
-        typ = int if key.endswith("count") else float
-        grid.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ)
+        grid.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(DEFAULTS[key]))
 
     p_sim = sub.add_parser("simulate", parents=[common], help="integrate and write a trajectory CSV")
     for key in _INTEGRATOR_KEYS:

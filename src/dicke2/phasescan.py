@@ -1,13 +1,14 @@
-"""Coupling-plane sweeps classifying each cell by the full spectrum.
+"""Coupling-plane sweeps classifying each cell by its pole spectrum.
 
-Each grid cell evaluates the spectrum at the chosen phase's pole fixed
-point (the classification authority) together with the analytic
-zero-eigenvalue indicator B and the frequency-window roots, so analytic
-and numeric pictures can be compared per cell. The scan works one lambda1
-row at a time: the row's pole Jacobians are stacked into one batched eig
-call, and only the cells whose spectrum lands in the near-marginal band go
-through the 30-digit refinement. B and the roots come from one array
-formula over the whole grid.
+Each grid cell evaluates the tangent-space spectrum (see stability) at
+the chosen phase's pole fixed point (the classification authority)
+together with the analytic zero-eigenvalue indicator B and the
+frequency-window roots, so analytic and numeric pictures can be compared
+per cell. The scan works one lambda1 row at a time: the row's pole
+Jacobians are stacked into one batched eig call, and only the cells whose
+spectrum lands in the near-marginal band go through the 30-digit
+refinement. B and the roots come from one array formula over the whole
+grid.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
     growth = np.empty((grid.l1_count, grid.l2_count))
     refined_cells = 0
     for i, l1 in enumerate(l1s):
-        _, _, growth[i], refined = _spectra(jacobian(pole, replace(p, lambda1=l1, lambda2=l2s)))
+        _, growth[i], refined = _spectra(pole, jacobian(pole, replace(p, lambda1=l1, lambda2=l2s)))
         refined_cells += int(refined.sum())
     _, b, w_minus, w_plus = _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
     w_plus, w_minus = (np.where(np.isnan(w), None, w) for w in (w_plus, w_minus))

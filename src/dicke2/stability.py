@@ -1,10 +1,12 @@
 """Linearization around fixed points and eigenvalue classification.
 
-The full 8-variable Jacobian is used rather than a hand-reduced one: the
-two extra modes are the exact zero eigenvalues contributed by the two
-spin-norm conservation laws ("structural zeros"), which are identified by
-tolerance and excluded from growth-rate classification. This keeps the
-Jacobian valid at superradiant (non-pole) fixed points as well.
+The spin norms |j1| and |j2| are conserved, so at any fixed point the
+gradient of each is a left null vector of the 8x8 Jacobian J, and the
+states tangent to both spin shells form a J-invariant subspace. The
+spectrum is taken of J restricted to that 6-dimensional subspace: the two
+conservation-law zeros ("structural zeros") are left out by construction,
+not picked out by tolerance. This keeps the linearization valid at
+superradiant (non-pole) fixed points as well.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from .model import (
     validate_params,
 )
 
-#: |Re| and |Im| below this mark a conservation-law zero mode.
-STRUCTURAL_ZERO_TOL = 1e-10
 #: Growth rates within this of zero classify as Marginal.
 MARGINAL_TOL = 1e-8
 #: Residual bound a state must meet to count as a fixed point.
 FIXED_POINT_TOL = 1e-8
-# Non-structural eigenvalues whose |Re| falls in this band are too close to
+# Tangent-space eigenvalues whose |Re| falls in this band are too close to
 # the marginal tolerance to trust double-precision QR (defective marginal
-# pairs split by ~sqrt(eps)); the spectrum is then recomputed at 30 digits.
+# pairs split by ~sqrt(eps)); the reduced 6x6 spectrum is then recomputed at
+# 30 digits.
 _REFINE_BAND = (1e-11, 1e-6)
 _REFINE_DPS = 30
 
@@ -47,9 +48,12 @@ class Classification(Enum):
 class StabilityReport:
     """Spectrum of the linearization at a fixed point plus its verdict.
 
-    max_growth_rate is the largest real part over the non-structural
-    eigenvalues; classification is Marginal when its magnitude is below
-    MARGINAL_TOL, otherwise Stable/Unstable by sign.
+    eigenvalues holds the six eigenvalues of the Jacobian restricted to the
+    tangent space of the two spin shells, followed by the two exact
+    conservation-law zeros (so structural_zero_count is always 2).
+    max_growth_rate is the largest real part of the six; classification is
+    Marginal when its magnitude is below MARGINAL_TOL, otherwise
+    Stable/Unstable by sign.
     """
 
     eigenvalues: np.ndarray
@@ -123,53 +127,70 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def _eigenvalues_refined(m: np.ndarray) -> np.ndarray:
-    """Spectrum recomputed in 30-digit arithmetic (slow, exact input).
+    """Spectrum of a reduced 6x6 matrix recomputed in 30-digit arithmetic.
 
-    workdps sets mpmath's process-global precision only for this call and
-    restores it afterwards; the package runs no threads that could share it.
+    Slow. At a pole the reduced matrix is J's submatrix without the j1z and
+    j2z rows and columns, so its entries are the exact inputs. workdps sets
+    mpmath's process-global precision only for this call and restores it
+    afterwards; the package runs no threads that could share it.
     """
     with mpmath.workdps(_REFINE_DPS):
         ev = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
     return np.array([complex(e) for e in ev])
 
 
-def _split_structural(eigs: np.ndarray) -> np.ndarray:
-    """Mask the conservation-law modes of each spectrum in a (..., n) stack.
+def _tangent_basis(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (..., 8, 6) of the states tangent to both spin shells.
 
-    Up to two near-zero eigenvalues per spectrum are marked, smallest
-    magnitude first and ties in index order.
+    Columns: the cavity plane, then for each species the first two columns
+    of the Householder reflection that maps j_i onto the z axis. At a pole
+    these are coordinate vectors, so T^T J T is exactly J without the j1z
+    and j2z rows and columns. Raises ValueError when a spin vector is zero,
+    since its tangent plane is undefined.
     """
-    near_zero = (np.abs(eigs.real) < STRUCTURAL_ZERO_TOL) & (
-        np.abs(eigs.imag) < STRUCTURAL_ZERO_TOL
-    )
-    order = np.argsort(np.where(near_zero, np.abs(eigs), np.inf), axis=-1, kind="stable")
-    mask = np.zeros(eigs.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :2], True, axis=-1)
-    return mask & near_zero
+    y = np.asarray(y, dtype=float)
+    t = np.zeros(y.shape[:-1] + (8, 6))
+    t[..., 0, 0] = t[..., 1, 1] = 1.0
+    for species, row, col in ((1, 2, 2), (2, 5, 4)):
+        j = y[..., row : row + 3]
+        norm = np.sqrt(np.sum(j * j, axis=-1, keepdims=True))
+        if np.any(norm == 0.0):
+            raise ValueError(f"spin vector j{species} is zero: its tangent plane is undefined")
+        ux, uy, uz = np.moveaxis(j / norm, -1, 0)
+        # Reflect along u + sign(uz)*e_z, which never cancels.
+        sign = np.where(uz < 0.0, -1.0, 1.0)
+        d = 1.0 + np.abs(uz)
+        t[..., row : row + 3, col] = np.stack([1.0 - ux * ux / d, -ux * uy / d, -sign * ux], -1)
+        t[..., row : row + 3, col + 1] = np.stack([-ux * uy / d, 1.0 - uy * uy / d, -sign * uy], -1)
+    return t
 
 
-def _spectra(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Classify a stack of Jacobians (n, 8, 8) with one batched eig call.
+def _spectra(y: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify a stack of Jacobians (n, 8, 8) on the tangent space at y.
 
-    Returns the eigenvalues (n, 8), their structural-zero mask, the growth
-    rate (largest non-structural real part) per matrix, and a flag per matrix
-    telling whether its spectrum was recomputed in 30-digit arithmetic.
+    y is one state (8,) shared by the whole stack or one state per matrix
+    (n, 8). Each Jacobian is projected onto the spin-shell tangent space,
+    T^T J T, and the 6x6 stack goes to one batched eig call. Returns the
+    eigenvalues (n, 6), the growth rate (largest real part) per matrix, and
+    a flag per matrix telling whether its spectrum was recomputed in
+    30-digit arithmetic.
     """
-    eigs = eigenvalues(jac).astype(complex)
+    t = _tangent_basis(y)
+    reduced = np.swapaxes(t, -1, -2) @ jac @ t
+    eigs = eigenvalues(reduced).astype(complex)
     rate = np.abs(eigs.real)
     lo, hi = _REFINE_BAND
-    refined = np.any(~_split_structural(eigs) & (lo < rate) & (rate < hi), axis=-1)
+    refined = np.any((lo < rate) & (rate < hi), axis=-1)
     for k in np.flatnonzero(refined):
-        eigs[k] = _eigenvalues_refined(jac[k])
-    structural = _split_structural(eigs)
-    growth = np.max(np.where(structural, -np.inf, eigs.real), axis=-1)
-    return eigs, structural, growth, refined
+        eigs[k] = _eigenvalues_refined(reduced[k])
+    return eigs, np.max(eigs.real, axis=-1), refined
 
 
 def assess(fp, p: ModelParams) -> StabilityReport:
-    """Eigen-decompose the Jacobian at a fixed point and classify it.
+    """Eigen-decompose the tangent-space Jacobian at a fixed point and classify it.
 
-    Raises if fp is not a fixed point (RHS max-norm above FIXED_POINT_TOL).
+    Raises if fp is not a fixed point (RHS max-norm above FIXED_POINT_TOL)
+    or if either spin vector is zero.
     """
     validate_params(p)
     residual = float(np.max(np.abs(eom_rhs(fp, p))))
@@ -177,7 +198,8 @@ def assess(fp, p: ModelParams) -> StabilityReport:
         raise ValueError(
             f"state is not a fixed point: RHS max-norm {residual:.3e} exceeds {FIXED_POINT_TOL}"
         )
-    eigs, structural, growth, _ = _spectra(jacobian(fp, p)[np.newaxis])
+    y = _as_array(fp)
+    eigs, growth, _ = _spectra(y[np.newaxis], jacobian(y, p)[np.newaxis])
     max_growth = float(growth[0])
     if abs(max_growth) < MARGINAL_TOL:
         verdict = Classification.MARGINAL
@@ -186,8 +208,8 @@ def assess(fp, p: ModelParams) -> StabilityReport:
     else:
         verdict = Classification.STABLE
     return StabilityReport(
-        eigenvalues=eigs[0],
-        structural_zero_count=int(structural[0].sum()),
+        eigenvalues=np.concatenate([eigs[0], np.zeros(2, dtype=complex)]),
+        structural_zero_count=2,
         max_growth_rate=max_growth,
         classification=verdict,
     )

@@ -173,6 +173,30 @@ def test_mixed_scans_are_transposes():
             )
 
 
+@pytest.mark.parametrize(
+    "phase, mirror",
+    [
+        (Phase.MIXED1, Phase.MIXED2),
+        (Phase.NORMAL, Phase.NORMAL),
+        (Phase.INVERTED, Phase.INVERTED),
+    ],
+)
+def test_species_swap_transposes_the_scan(phase, mirror):
+    # Unequal frequencies, atom numbers and axes; the zero-coupling lines
+    # hold the marginal cells.
+    p = ModelParams(omega1=0.8, omega2=1.3, omega_c=1.1, kappa=0.9, n1=0.7, n2=1.6)
+    grid = GridSpec(0.0, 1.5, 9, 0.0, 1.2, 7)
+    transposed = GridSpec(0.0, 1.2, 7, 0.0, 1.5, 9)
+    a = scan(phase, grid, p)
+    b = scan(mirror, transposed, replace(p, omega1=1.3, omega2=0.8, n1=1.6, n2=0.7))
+    for i in range(9):
+        for j in range(7):
+            ca, cb = a.cells[i * 7 + j], b.cells[j * 9 + i]
+            assert (ca.lambda1, ca.lambda2) == (cb.lambda2, cb.lambda1)
+            assert ca.superradiant == cb.superradiant
+            assert abs(ca.max_growth_rate - cb.max_growth_rate) <= 1e-12
+
+
 def test_boundary_curve_normal_quarter_circle():
     curve = analytic_boundary_curve(Phase.NORMAL, UNIT, samples=101)
     assert len(curve) == 101

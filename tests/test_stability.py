@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from dicke2 import (
     Classification,
     ModelParams,
+    NewtonError,
     Phase,
     assess,
     boundary_value,
@@ -15,10 +17,16 @@ from dicke2 import (
     jacobian,
     jacobian_fd,
     omega_pm,
+    solve_superradiant,
     trivial_fixed_point,
 )
+from dicke2.stability import MARGINAL_TOL, _tangent_basis
 
 UNIT = ModelParams()
+# Rows and columns of J that survive at a pole: everything but j1z and j2z.
+POLE_TANGENT = [0, 1, 2, 3, 5, 6]
+# Z2 symmetry of the equations of motion: (a, jx, jy) -> -(a, jx, jy).
+MIRROR = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
 
 
 def random_params(rng, lam_hi=1.5):
@@ -36,6 +44,59 @@ def random_params(rng, lam_hi=1.5):
 
 def random_state(rng):
     return rng.uniform(-1.0, 1.0, 8)
+
+
+def _near_zero_pair(eigs):
+    """Up to two eigenvalues within 1e-10 of zero, smallest magnitude first."""
+    near = (np.abs(eigs.real) < 1e-10) & (np.abs(eigs.imag) < 1e-10)
+    order = np.argsort(np.where(near, np.abs(eigs), np.inf), kind="stable")
+    mask = np.zeros(eigs.shape, dtype=bool)
+    mask[order[:2]] = True
+    return mask & near
+
+
+def full_spectrum_oracle(y, p):
+    """Growth rate and verdict from the whole 8x8 spectrum.
+
+    The two conservation-law zeros are split off by tolerance, and spectra
+    with a remaining |Re| in (1e-11, 1e-6) are recomputed at 30 digits.
+    """
+    jac = jacobian(y, p)
+    eigs = np.linalg.eigvals(jac)
+    rate = np.abs(eigs.real)
+    if np.any(~_near_zero_pair(eigs) & (1e-11 < rate) & (rate < 1e-6)):
+        with mpmath.workdps(30):
+            ev = mpmath.eig(mpmath.matrix(jac.tolist()), left=False, right=False)
+        eigs = np.array([complex(e) for e in ev])
+    growth = float(np.max(eigs.real[~_near_zero_pair(eigs)]))
+    if abs(growth) < MARGINAL_TOL:
+        return growth, Classification.MARGINAL
+    return growth, Classification.UNSTABLE if growth > 0 else Classification.STABLE
+
+
+@pytest.fixture(scope="module")
+def superradiant_states():
+    """Newton-found superradiant fixed points at random parameters.
+
+    About a third of the parameter draws have equal atomic frequencies.
+    """
+    rng = np.random.default_rng(31)
+    found = []
+    while len(found) < 240:
+        p = random_params(rng, lam_hi=2.0)
+        if rng.uniform() < 0.3:
+            p = replace(p, omega2=p.omega1)
+        seen = set()
+        for seed in ((1.2, 1.2, 0.3), (1.2, 1.2, -0.3), (1.2, 0.2, 0.3), (0.2, 1.2, 0.3)):
+            try:
+                sol = solve_superradiant(p, init=seed)
+            except NewtonError:
+                continue
+            key = tuple(np.round(sol.state.to_array(), 6))
+            if sol.branch.startswith("superradiant") and key not in seen:
+                seen.add(key)
+                found.append((sol.state.to_array(), p))
+    return found
 
 
 class TestJacobian:
@@ -72,6 +133,28 @@ class TestJacobian:
     def test_fd_rejects_bad_step(self):
         with pytest.raises(ValueError, match="positive"):
             jacobian_fd(np.zeros(8), UNIT, 0.0)
+
+    def test_tangent_projection_is_the_pole_submatrix(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            p = random_params(rng)
+            for phase in Phase:
+                y = trivial_fixed_point(phase, p).to_array()
+                jac = jacobian(y, p)
+                t = _tangent_basis(y)
+                # Equal entry by entry; only the sign of a zero entry can differ.
+                assert np.array_equal(t.T @ jac @ t, jac[np.ix_(POLE_TANGENT, POLE_TANGENT)])
+
+    def test_tangent_basis_is_orthonormal_and_tangent(self):
+        rng = np.random.default_rng(30)
+        states = rng.uniform(-1.0, 1.0, (500, 8)) * rng.uniform(1e-3, 1e3, (500, 1))
+        t = _tangent_basis(states)
+        assert t.shape == (500, 8, 6)
+        assert np.max(np.abs(np.swapaxes(t, -1, -2) @ t - np.eye(6))) <= 1e-15
+        for row in (2, 5):
+            j = states[:, row : row + 3]
+            u = j / np.linalg.norm(j, axis=-1, keepdims=True)
+            assert np.max(np.abs(np.einsum("nk,nkc->nc", u, t[:, row : row + 3, :]))) <= 1e-15
 
     def test_broadcasts_over_states_and_couplings(self):
         rng = np.random.default_rng(28)
@@ -163,6 +246,48 @@ class TestAssess:
         y = np.array([0.5, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0, -0.5])
         with pytest.raises(ValueError, match="not a fixed point"):
             assess(y, ModelParams(lambda1=0.5, lambda2=0.5))
+
+    def test_zero_spin_vector_rejected(self):
+        # A zero spin is a fixed point of its own precession, but it has no
+        # shell and so no tangent plane to restrict to.
+        with pytest.raises(ValueError, match="j1 is zero"):
+            assess(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5]), UNIT)
+        with pytest.raises(ValueError, match="j2 is zero"):
+            assess(np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]), UNIT)
+
+    @pytest.mark.parametrize("omega2", [1.0, 1.0 + 1e-6, 1.2])
+    @pytest.mark.parametrize("phase", list(Phase))
+    def test_poles_match_full_spectrum_oracle(self, phase, omega2):
+        # The 9x9 grid holds the lambda = 0 lines and the mixed diagonal.
+        lams = np.linspace(0.0, 1.5, 9)
+        for l1 in lams:
+            for l2 in lams:
+                p = ModelParams(omega2=omega2, lambda1=float(l1), lambda2=float(l2))
+                y = trivial_fixed_point(phase, p).to_array()
+                growth, verdict = full_spectrum_oracle(y, p)
+                report = assess(y, p)
+                assert report.classification is verdict
+                assert abs(report.max_growth_rate - growth) <= 1e-12
+
+    def test_superradiant_states_match_full_spectrum_oracle(self, superradiant_states):
+        assert len(superradiant_states) >= 200
+        assert any(p.omega1 == p.omega2 for _, p in superradiant_states)
+        assert any(p.omega1 != p.omega2 for _, p in superradiant_states)
+        for y, p in superradiant_states:
+            growth, verdict = full_spectrum_oracle(y, p)
+            report = assess(y, p)
+            assert report.classification is verdict
+            assert abs(report.max_growth_rate - growth) <= 1e-12
+            assert report.structural_zero_count == 2
+            assert report.eigenvalues.shape == (8,)
+            assert np.all(report.eigenvalues[6:] == 0)
+
+    def test_mirror_image_of_a_superradiant_state_has_the_same_verdict(self, superradiant_states):
+        for y, p in superradiant_states:
+            report = assess(y, p)
+            mirrored = assess(MIRROR * y, p)
+            assert mirrored.classification is report.classification
+            assert abs(mirrored.max_growth_rate - report.max_growth_rate) <= 1e-12
 
     def test_mixed1_equal_couplings_marginal_even_at_large_coupling(self):
         # Defective marginal pairs; needs the refined spectrum to stay honest.
