@@ -1,9 +1,9 @@
 """Semiclassical two-species open Dicke model laboratory.
 
 Mean-field dynamics of two atomic ensembles coupled to one lossy cavity
-mode: adaptive integration of the equations of motion, steady-state
-enumeration and Newton solving, linear stability classification, and
-coupling-plane phase diagrams.
+mode: adaptive integration of the equations of motion, closed-form
+steady-state enumeration and a seeded Newton solver, linear stability
+classification, and coupling-plane phase diagrams.
 """
 
 __version__ = "0.1.0"
@@ -57,6 +57,7 @@ from .steadystate import (
     partial_superradiant_jz,
     solve_superradiant,
     steady_residual,
+    superradiant_states,
 )
 
 __all__ = [
@@ -99,6 +100,7 @@ __all__ = [
     "solve_superradiant",
     "spin_norm_residual",
     "steady_residual",
+    "superradiant_states",
     "trivial_fixed_point",
     "validate_params",
 ]

@@ -1,12 +1,12 @@
 """Command-line front end writing deterministic CSV/JSON/matrix files.
 
-Subcommands: simulate, stability, scan, boundary, fixed-points. Option
-precedence is command-line flag > config-file entry > built-in default,
-and the effective configuration is echoed into a '#'-prefixed metadata
-header of every output; stripping '#' lines leaves pure machine-readable
-data. Numbers are written in shortest round-trip decimal form. Run
-statistics (timings and work counters) go only to the optional --stats
-JSON file, never into the data output.
+Subcommands: simulate, stability, scan, boundary, fixed-points (the poles
+and every superradiant state). Option precedence is command-line flag >
+config-file entry > built-in default, and the effective configuration is
+echoed into a '#'-prefixed metadata header of every output; stripping '#'
+lines leaves pure machine-readable data. Numbers are written in shortest
+round-trip decimal form. Run statistics (timings and work counters) go only
+to the optional --stats JSON file, never into the data output.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ import numpy as np
 from . import __version__
 from .dynamics import IntegratorConfig, integrate, validate_config
 from .model import (
+    STATE_LABELS,
     ModelParams,
     Phase,
-    SystemState,
     eom_rhs,
     trivial_fixed_point,
     validate_params,
 )
 from .phasescan import GridSpec, analytic_boundary_curve, scan, validate_grid
 from .stability import assess, boundary_value, omega_pm
-from .steadystate import NewtonError, solve_superradiant
+from .steadystate import _superradiant_label, superradiant_states
 
 MATRIX_FIELDS = ("max_growth_rate", "boundary_b", "omega_plus", "omega_minus", "superradiant")
 CELL_FIELDS = (
@@ -55,11 +55,6 @@ DEFAULTS: dict = {
     "samples": 101,
     "value": "max_growth_rate",
 }
-
-# Default Newton seeds (theta1, theta2, a1) for the fixed-points command:
-# both cavity signs plus one-species-dominant tilts.
-_FP_SEEDS = ((1.2, 1.2, 0.3), (1.2, 1.2, -0.3), (1.2, 0.2, 0.3), (0.2, 1.2, 0.3))
-
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (exit code 2)."""
@@ -161,19 +156,6 @@ def _write_output(path: str | None, lines: list[str]) -> None:
 
 def _json_block(obj) -> list[str]:
     return json.dumps(obj, sort_keys=True, indent=1).splitlines()
-
-
-def _state_dict(s: SystemState) -> dict:
-    return {
-        "a1": s.a1,
-        "a2": s.a2,
-        "j1x": float(s.j1[0]),
-        "j1y": float(s.j1[1]),
-        "j1z": float(s.j1[2]),
-        "j2x": float(s.j2[0]),
-        "j2y": float(s.j2[1]),
-        "j2z": float(s.j2[2]),
-    }
 
 
 def _initial_state(cfg: dict, p: ModelParams) -> np.ndarray:
@@ -305,46 +287,21 @@ def cmd_fixed_points(args: argparse.Namespace) -> tuple[list[str], dict]:
     keys = _PARAM_KEYS + ("format",)
     cfg = _effective(args, keys, overrides={"format": "json"})
     p = _params_from(cfg)
+    labelled = [(trivial_fixed_point(phase, p), phase.name.lower()) for phase in Phase]
+    labelled += [(state, _superradiant_label(state)) for state in superradiant_states(p)]
     entries = []
-    seen = set()
-
-    def add(state: SystemState, branch: str, residual: float, iterations) -> None:
-        key = tuple(round(float(x), 6) for x in state.to_array())
-        if key in seen:
-            return
-        seen.add(key)
+    for state, branch in labelled:
         report = assess(state, p)
         entries.append(
             {
                 "branch": branch,
-                "state": _state_dict(state),
-                "residual_norm": residual,
-                "newton_iterations": iterations,
+                "state": dict(zip(STATE_LABELS, state.to_array().tolist())),
+                "residual_norm": float(np.max(np.abs(eom_rhs(state, p)))),
                 "classification": report.classification.value,
                 "max_growth_rate": report.max_growth_rate,
             }
         )
-
-    for phase in Phase:
-        fp = trivial_fixed_point(phase, p)
-        res = float(np.max(np.abs(eom_rhs(fp, p))))
-        add(fp, phase.name.lower(), res, None)
-
-    failures = []
-    newton_iterations = 0
-    if p.lambda1 > 0 or p.lambda2 > 0:
-        for seed in _FP_SEEDS:
-            try:
-                sol = solve_superradiant(p, init=seed)
-            except NewtonError as exc:
-                failures.append({"seed": list(seed), "error": str(exc)})
-                continue
-            newton_iterations += sol.newton_iterations
-            add(sol.state, sol.branch, sol.residual_norm, sol.newton_iterations)
-
-    payload = {"fixed_points": entries, "failures": failures}
-    lines = _meta_lines("fixed-points", cfg) + _json_block(payload)
-    return lines, {"newton_iterations": newton_iterations}
+    return _meta_lines("fixed-points", cfg) + _json_block({"fixed_points": entries}), {}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,12 +3,13 @@
 Setting the RHS to zero forces Jiy = 0 and a2 = kappa*a1/omega_c, which
 leaves three equations in three unknowns once each spin is written in
 shell-respecting polar form Jix = (n_i/2) sin(theta_i),
-Jiz = -(n_i/2) cos(theta_i). The Newton solver below works in those
-coordinates, so the spin-norm constraints hold by construction.
+Jiz = -(n_i/2) cos(theta_i). superradiant_states solves them in closed form
+up to one bracketed scalar root; the seeded Newton solver is its check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,9 @@ def solve_superradiant(
     """Damped Newton solve for a fixed point in polar spin coordinates.
 
     init is (theta1, theta2, a1_seed). Which branch is found depends on the
-    seed; branches are not enumerated here. Solutions that land on a1 = 0
-    are degenerate pole states and are reported with a "trivial" label.
+    seed; superradiant_states enumerates all of them. Solutions that land
+    on a1 = 0 are degenerate pole states and are reported with a "trivial"
+    label.
     """
     validate_params(p)
     if p.lambda1 == 0 and p.lambda2 == 0:
@@ -145,12 +147,71 @@ def solve_superradiant(
     )
 
 
+def superradiant_states(p: ModelParams) -> list[SystemState]:
+    """Every fixed point with a1 != 0, as mirror pairs +a1, -a1.
+
+    sigma_i = +1 puts species i at Jiz < 0. With u = a1^2 and x_i =
+    sqrt(omega_i^2 + 16*lambda_i^2*u/n_i), the spin-x equations give (Jix, Jiz)
+    = -sigma_i*(n_i/2)*(4*lambda_i*a1/sqrt(n_i), omega_i)/x_i, and the cavity
+    equation G(u) = sum_i sigma_i*4*lambda_i^2/x_i = (kappa^2 + omega_c^2)/omega_c.
+    G is monotone for sigma = (+,+), negative for (-,-) and has at most one
+    extremum otherwise, so bisection on monotone brackets finds every root.
+    Order: sigma (+,+), (+,-), (-,+), then u ascending.
+    """
+    validate_params(p)
+    k = (p.kappa * p.kappa + p.omega_c * p.omega_c) / p.omega_c
+    omega = (p.omega1, p.omega2)
+    amp = (4.0 * p.lambda1 * p.lambda1, 4.0 * p.lambda2 * p.lambda2)
+    slope = (16.0 * p.lambda1 * p.lambda1 / p.n1, 16.0 * p.lambda2 * p.lambda2 / p.n2)
+    # G < K beyond u = (sum_i lambda_i*sqrt(n_i)/K)^2; at 4x that G <= K/2, past rounding.
+    reach = 2.0 * (p.lambda1 * math.sqrt(p.n1) + p.lambda2 * math.sqrt(p.n2)) / k
+    states = []
+    for sigma in ((1, 1), (1, -1), (-1, 1)):
+
+        def excess(u: float) -> float:
+            terms = zip(sigma, amp, omega, slope)
+            return sum(s * a / math.sqrt(w * w + v * u) for s, a, w, v in terms) - k
+
+        cuts = [0.0, reach * reach]
+        if sigma != (1, 1) and amp[0] > 0 and amp[1] > 0:
+            # G' = 0 where (x1/x2)^3 = amp1*slope1 / (amp2*slope2).
+            rho = (amp[0] * slope[0] / (amp[1] * slope[1])) ** (2.0 / 3.0)
+            den = slope[0] - rho * slope[1]
+            u_turn = (rho * omega[1] * omega[1] - omega[0] * omega[0]) / den if den else 0.0
+            if 0.0 < u_turn < cuts[1]:
+                cuts.insert(1, u_turn)
+        for lo, hi in zip(cuts, cuts[1:]):
+            f_lo, f_hi = excess(lo), excess(hi)
+            if f_lo == 0 or (f_hi != 0 and (f_hi < 0) == (f_lo < 0)):
+                continue
+            # Keep f(lo) on f_lo's side and f(hi) zero or across until they are adjacent.
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid = excess(mid)
+                lo, hi = (mid, hi) if f_mid != 0 and (f_mid < 0) == (f_lo < 0) else (lo, mid)
+            states += [_hemisphere_state(a, sigma, p) for a in (math.sqrt(hi), -math.sqrt(hi))]
+    return states
+
+
+def _hemisphere_state(a1: float, sigma: tuple[int, int], p: ModelParams) -> SystemState:
+    spins = []
+    for s, lam, w, n in zip(sigma, (p.lambda1, p.lambda2), (p.omega1, p.omega2), (p.n1, p.n2)):
+        b = 4.0 * lam / math.sqrt(n) * a1
+        x = math.hypot(w, b)
+        # + 0.0 keeps an uncoupled species' Jx from printing as -0.0.
+        spins.append((-s * n * b / (2.0 * x) + 0.0, 0.0, -s * n * w / (2.0 * x)))
+    return SystemState(a1, p.kappa * a1 / p.omega_c, *spins)
+
+
 def _branch_label(state: SystemState) -> str:
     if abs(state.a1) < _DEGENERATE_A1:
         s1 = -1 if state.j1[2] < 0 else 1
         s2 = -1 if state.j2[2] < 0 else 1
         phase = Phase((s1, s2))
         return f"trivial:{phase.name.lower()}"
+    return _superradiant_label(state)
+
+
+def _superradiant_label(state: SystemState) -> str:
     tag = lambda x: "+" if x >= 0 else "-"
     return f"superradiant a1{tag(state.a1)} j1z{tag(state.j1[2])} j2z{tag(state.j2[2])}"
 

@@ -201,12 +201,43 @@ def test_fixed_points_includes_partial_superradiant_branch():
     assert any(abs(z + 0.25) < 1e-9 for z in j2zs)
 
 
+def test_fixed_points_lists_every_superradiant_state_with_its_mirror():
+    doc = load_json_output(run_cli("fixed-points", "--lambda1", "0", "--lambda2", "1").stdout)
+    assert len(doc) == 1 and len(doc["fixed_points"]) == 8
+    superradiant = [e["state"] for e in doc["fixed_points"] if e["branch"].startswith("super")]
+    assert sorted((np.sign(s["a1"]), s["j1z"]) for s in superradiant) == [
+        (-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5)
+    ]
+    assert all(abs(s["j2z"] + 0.25) < 1e-12 for s in superradiant)
+
+    doc = load_json_output(
+        run_cli("fixed-points", "--lambda1", "1.4", "--lambda2", "0.5", "--omega2", "0.6").stdout
+    )
+    verdicts = {e["branch"]: e["classification"] for e in doc["fixed_points"]}
+    assert {b: v for b, v in verdicts.items() if b.startswith("super")} == {
+        "superradiant a1+ j1z- j2z-": "Stable",
+        "superradiant a1- j1z- j2z-": "Stable",
+        "superradiant a1+ j1z- j2z+": "Unstable",
+        "superradiant a1- j1z- j2z+": "Unstable",
+    }
+
+
 def test_fixed_points_supercritical_normal_unstable():
     doc = load_json_output(
         run_cli("fixed-points", "--lambda1", "0.8", "--lambda2", "0.8").stdout
     )
     by_branch = {e["branch"]: e for e in doc["fixed_points"]}
     assert by_branch["normal"]["classification"] == "Unstable"
+
+
+def test_fixed_points_just_above_threshold_are_labelled_superradiant(capsys):
+    # One ulp above the species-2 threshold the branch has |a1| ~ 1e-8, below
+    # the Newton solver's degenerate-pole cut, yet it is not a pole.
+    l2 = np.nextafter(np.sqrt(0.5), 1.0)
+    assert main(["fixed-points", "--lambda1", "0", "--lambda2", repr(float(l2))]) == 0
+    branches = [e["branch"] for e in load_json_output(capsys.readouterr().out)["fixed_points"]]
+    assert branches[:4] == ["normal", "inverted", "mixed1", "mixed2"]
+    assert len(branches) == 8 and all(b.startswith("superradiant") for b in branches[4:])
 
 
 def test_missing_required_flag_is_usage_error():
@@ -279,7 +310,7 @@ def test_stats_file_is_a_side_channel(tmp_path, capsys):
     assert stats["scan"]["cells"] == 61 * 61
     assert 0 < stats["scan"]["refined_cells"] < stats["scan"]["cells"]
     assert 0 < stats["simulate"]["steps"] < stats["simulate"]["nfev"]
-    assert stats["fixed-points"]["newton_iterations"] > 0
+    assert set(stats["fixed-points"]) == {"command", "compute_s", "write_s"}
 
 
 def test_unknown_flag_is_usage_error():

@@ -1,4 +1,6 @@
-"""Steady-state solver, critical constants, partial superradiance."""
+"""Steady-state enumeration and solver, critical constants, partial superradiance."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from dicke2 import (
     ModelParams,
     NewtonError,
     Phase,
+    analytic_boundary_curve,
     assess,
     boundary_value,
     critical_lambda,
@@ -15,6 +18,7 @@ from dicke2 import (
     solve_superradiant,
     spin_norm_residual,
     steady_residual,
+    superradiant_states,
     trivial_fixed_point,
 )
 
@@ -96,6 +100,116 @@ class TestSolveSuperradiant:
         with pytest.raises(NewtonError) as info:
             solve_superradiant(p, init=(0.1, 1.2, 0.3), max_iter=1)
         assert info.value.last_iterate.shape == (3,)
+
+
+def varied_params(rng, count):
+    """Random points where every fourth has omega1 = omega2 and some lambda_i = 0."""
+    for i in range(count):
+        p = random_params(rng, lam_hi=2.5)
+        if i % 4 == 0:
+            p = replace(p, omega2=p.omega1)
+        if i % 10 in (1, 2):
+            p = replace(p, **{f"lambda{i % 10}": 0.0})
+        yield p
+
+
+def hemispheres(state):
+    """The pattern sigma: +1 for a species in the southern hemisphere (Jz < 0)."""
+    return (1 if state.j1[2] < 0 else -1, 1 if state.j2[2] < 0 else -1)
+
+
+ANGLES = (0.3, 1.2, 2.6)
+SEED_GRID = [(t1, t2, a1) for t1 in ANGLES for t2 in ANGLES for a1 in (0.5, -0.5)]
+
+
+class TestSuperradiantStates:
+    def test_lists_every_state_newton_finds(self):
+        rng = np.random.default_rng(21)
+        listed = found = 0
+        for p in varied_params(rng, 200):
+            states = np.array([s.to_array() for s in superradiant_states(p)]).reshape(-1, 8)
+            listed += len(states)
+            hits = set()
+            for seed in SEED_GRID:
+                try:
+                    sol = solve_superradiant(p, init=seed)
+                except NewtonError:
+                    continue
+                if sol.branch.startswith("trivial"):
+                    continue
+                dist = np.max(np.abs(states - sol.state.to_array()), axis=1)
+                assert dist.size and dist.min() <= 1e-8, (p, sol.state)
+                hits.add(int(dist.argmin()))
+            found += len(hits)
+        # The oracle reaches most states, so the check is not vacuous.
+        assert listed > 400 and found > listed // 2
+
+    def test_mirror_pairs_residuals_and_distinctness(self):
+        rng = np.random.default_rng(22)
+        mirror = np.array([-1, -1, -1, -1, 1, -1, -1, 1])  # (a, jx, jy) -> -(a, jx, jy)
+        for p in varied_params(rng, 200):
+            states = [s.to_array() for s in superradiant_states(p)]
+            for y in states:
+                assert any(np.array_equal(mirror * y, z) for z in states)
+                assert np.max(np.abs(steady_residual(y, p))) <= 1e-13
+                assert max(map(abs, spin_norm_residual(y, p))) <= 1e-14
+            for i, y in enumerate(states):
+                for z in states[:i]:
+                    assert np.max(np.abs(y - z)) > 1e-9
+
+    def test_branch_count_parity_follows_the_pole_boundary(self):
+        # At u = a1^2 = 0 the branch equation's excess is B/omega_c of the
+        # pole phase s = -sigma, and it is negative at large u: an odd number
+        # of branches with pattern sigma exists exactly where that pole has B > 0.
+        rng = np.random.default_rng(23)
+        checks = two_roots = 0
+        for p in varied_params(rng, 1000):
+            patterns = [hemispheres(s) for s in superradiant_states(p) if s.a1 > 0]
+            for sigma in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                b = boundary_value(Phase((-sigma[0], -sigma[1])), p.lambda1, p.lambda2, p)
+                count = patterns.count(sigma)
+                assert count <= 2
+                assert (count % 2 == 1) == (b > 0), (p, sigma, count, b)
+                two_roots += count == 2
+                checks += 1
+        assert checks == 4000 and two_roots > 0
+
+    def test_branches_bifurcate_from_the_analytic_boundary(self):
+        rng = np.random.default_rng(24)
+        # Stepping outside a pole's boundary curve along the coupling that
+        # raises its B, the branch with sigma = -s starts at a1^2 -> 0.
+        outward = {Phase.NORMAL: (1, 1), Phase.MIXED1: (1, 0), Phase.MIXED2: (0, 1)}
+        for _ in range(10):
+            p = random_params(rng)
+            for phase, (d1, d2) in outward.items():
+                sigma = (-phase.signs[0], -phase.signs[1])
+                for l1, l2 in analytic_boundary_curve(phase, p, samples=5)[1:-1]:
+                    last = np.inf
+                    for eps in (1e-3, 1e-6, 1e-9):
+                        q = replace(p, lambda1=l1 * (1 + d1 * eps), lambda2=l2 * (1 + d2 * eps))
+                        assert boundary_value(phase, q.lambda1, q.lambda2, q) > 0
+                        branch = [s for s in superradiant_states(q) if hemispheres(s) == sigma]
+                        u = [s.a1**2 for s in branch if s.a1 > 0]
+                        assert len(u) == 1 and u[0] < last
+                        last = u[0]
+                    assert last < 1e-7
+
+    def test_no_mixed_branch_on_the_mixed_diagonal(self):
+        # omega1 = omega2, n1 = n2, lambda1 = lambda2: the two hemisphere
+        # terms cancel, so no mixed pole can turn superradiant.
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            w, n, lam = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)
+            p = ModelParams(
+                omega1=w, omega2=w, n1=n, n2=n, lambda1=lam, lambda2=lam,
+                omega_c=rng.uniform(0.5, 2.0), kappa=rng.uniform(0.5, 2.0),
+            )
+            assert all(hemispheres(s) in ((1, 1), (-1, -1)) for s in superradiant_states(p))
+
+    def test_input(self):
+        assert superradiant_states(ModelParams()) == []
+        with pytest.raises(ValueError):
+            superradiant_states(ModelParams(lambda1=float("nan")))
 
 
 class TestCriticalLambda:
