@@ -19,11 +19,9 @@ from .dynamics import (
 )
 from .model import (
     STATE_LABELS,
-    DriveParams,
     ModelParams,
     Phase,
     SystemState,
-    coupling_from_pump,
     eom_rhs,
     lambda_combined,
     spin_norm_residual,
@@ -49,14 +47,12 @@ from .stability import (
     omega_pm,
 )
 from .steadystate import (
-    CriticalCoupling,
     FixedPointSolution,
     NewtonError,
     critical_lambda,
     critical_lambda1_given_j2z,
     partial_superradiant_jz,
     solve_superradiant,
-    steady_residual,
     superradiant_states,
 )
 
@@ -65,8 +61,6 @@ __all__ = [
     "STATE_LABELS",
     "BoundaryRoots",
     "Classification",
-    "CriticalCoupling",
-    "DriveParams",
     "FixedPointSolution",
     "GridSpec",
     "IntegrationError",
@@ -83,7 +77,6 @@ __all__ = [
     "analytic_boundary_curve",
     "assess",
     "boundary_value",
-    "coupling_from_pump",
     "critical_lambda",
     "critical_lambda1_given_j2z",
     "drift_report",
@@ -99,7 +92,6 @@ __all__ = [
     "settle",
     "solve_superradiant",
     "spin_norm_residual",
-    "steady_residual",
     "superradiant_states",
     "trivial_fixed_point",
     "validate_params",

@@ -83,12 +83,8 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _effective(
-    args: argparse.Namespace, keys: tuple[str, ...], overrides: dict | None = None
-) -> dict:
+def _effective(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     cfg = {k: DEFAULTS[k] for k in keys}
-    if overrides:
-        cfg.update(overrides)
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
         for k in keys:
@@ -181,7 +177,7 @@ def _initial_state(cfg: dict, p: ModelParams) -> np.ndarray:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + _INTEGRATOR_KEYS + ("phase", "a1", "a2", "perturb", "state", "format")
+    keys = _PARAM_KEYS + _INTEGRATOR_KEYS + ("phase", "a1", "a2", "perturb", "state")
     cfg = _effective(args, keys)
     p = _params_from(cfg)
     traj = integrate(_initial_state(cfg, p), p, _integrator_from(cfg))
@@ -194,17 +190,18 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_stability(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + ("phase", "format")
-    cfg = _effective(args, keys, overrides={"format": "json"})
+    cfg = _effective(args, _PARAM_KEYS + ("phase",))
     p = _params_from(cfg)
     phase = _phase_from(cfg)
     report = assess(trivial_fixed_point(phase, p), p)
     roots = omega_pm(phase, p.lambda1, p.lambda2, p)
-    eigs = sorted((complex(e) for e in report.eigenvalues), key=lambda z: (z.real, z.imag))
+    # Six tangent-space eigenvalues by (im, re), then the two exact zeros: pairs and
+    # real eigenvalues have exact imaginary parts, so round-off cannot reorder them.
+    tangent = sorted((complex(e) for e in report.eigenvalues[:6]), key=lambda z: (z.imag, z.real))
+    eigs = tangent + [complex(e) for e in report.eigenvalues[6:]]
     payload = {
         "phase": phase.name.lower(),
         "eigenvalues": [{"re": e.real, "im": e.imag} for e in eigs],
-        "structural_zero_count": report.structural_zero_count,
         "max_growth_rate": report.max_growth_rate,
         "classification": report.classification.value,
         "boundary_b": boundary_value(phase, p.lambda1, p.lambda2, p),
@@ -265,7 +262,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_boundary(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "samples", "format")
+    keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "samples")
     cfg = _effective(args, keys)
     p = _params_from(cfg)
     grid = _grid_from(cfg)
@@ -284,8 +281,7 @@ def cmd_boundary(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def cmd_fixed_points(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + ("format",)
-    cfg = _effective(args, keys, overrides={"format": "json"})
+    cfg = _effective(args, _PARAM_KEYS)
     p = _params_from(cfg)
     labelled = [(trivial_fixed_point(phase, p), phase.name.lower()) for phase in Phase]
     labelled += [(state, _superradiant_label(state)) for state in superradiant_states(p)]
@@ -331,11 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--a2", type=float, help="initial cavity quadrature offset")
     p_sim.add_argument("--perturb", type=float, help="offset added to a1, j1x and j2x")
     p_sim.add_argument("--state", help="explicit initial state: 8 comma-separated components")
-    p_sim.add_argument("--format", choices=["csv"])
     p_sim.set_defaults(func=cmd_simulate, out_required=True)
 
     p_stab = sub.add_parser("stability", parents=[common], help="stability report at a pole fixed point")
-    p_stab.add_argument("--format", choices=["json"])
     p_stab.set_defaults(func=cmd_stability, out_required=False)
 
     p_scan = sub.add_parser("scan", parents=[common, grid], help="coupling-plane phase scan")
@@ -345,11 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bnd = sub.add_parser("boundary", parents=[common, grid], help="analytic boundary polyline CSV")
     p_bnd.add_argument("--samples", type=int)
-    p_bnd.add_argument("--format", choices=["csv"])
     p_bnd.set_defaults(func=cmd_boundary, out_required=True)
 
     p_fp = sub.add_parser("fixed-points", parents=[common], help="trivial and superradiant fixed points")
-    p_fp.add_argument("--format", choices=["json"])
     p_fp.set_defaults(func=cmd_fixed_points, out_required=False)
 
     return parser

@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import ModelParams, SystemState, eom_rhs, spin_norm_residual, validate_params
 
-#: Default max-norm bound on the RHS below which a state counts as settled.
+#: Max-norm bound on the RHS below which a state counts as settled.
 SETTLE_THRESHOLD = 1e-9
 
 
@@ -54,9 +54,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> SystemState:
-        return SystemState.from_array(self.states[i])
 
 
 @dataclass(frozen=True)
@@ -169,13 +166,8 @@ def _running_drift(states: np.ndarray, p: ModelParams) -> np.ndarray:
     return np.maximum.accumulate(res / shells, axis=0)
 
 
-def settle(
-    s0,
-    p: ModelParams,
-    cfg: IntegratorConfig,
-    threshold: float = SETTLE_THRESHOLD,
-) -> SettleResult:
-    """Integrate until the RHS max-norm drops below threshold, if ever.
+def settle(s0, p: ModelParams, cfg: IntegratorConfig) -> SettleResult:
+    """Integrate until the RHS max-norm drops below SETTLE_THRESHOLD, if ever.
 
     Convergence is checked at t=0 and then at every sample of `integrate`,
     stopping at the first one under the threshold. Reaching t_final without
@@ -187,9 +179,10 @@ def settle(
     times = _sample_times(cfg)
     for k, (y, nfev, steps) in enumerate(_samples(s0, p, cfg, times)):
         r = float(np.max(np.abs(eom_rhs(y, p))))
-        if r < threshold:
+        if r < SETTLE_THRESHOLD:
             break
-    return SettleResult(r < threshold, SystemState.from_array(y), r, float(times[k]), nfev, steps)
+    converged = r < SETTLE_THRESHOLD
+    return SettleResult(converged, SystemState.from_array(y), r, float(times[k]), nfev, steps)
 
 
 def drift_report(t: Trajectory) -> tuple[float, float]:

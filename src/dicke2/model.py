@@ -56,16 +56,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class DriveParams:
-    """Transverse-pump drive data behind one effective coupling strength."""
-
-    lambda0: float
-    rabi: float
-    omega_p: float
-    omega_i: float
-
-
-@dataclass(frozen=True)
 class SystemState:
     """One point of the eight-dimensional phase space.
 
@@ -120,14 +110,6 @@ def validate_params(p: ModelParams) -> ModelParams:
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"coupling must be non-negative (got {name}={v})")
     return p
-
-
-def coupling_from_pump(d: DriveParams) -> float:
-    """Effective coupling lambda0 * rabi / (2 * (omega_p - omega_i))."""
-    detuning = d.omega_p - d.omega_i
-    if detuning == 0:
-        raise ValueError("pump-atom detuning must be nonzero")
-    return d.lambda0 * d.rabi / (2.0 * detuning)
 
 
 def _as_array(s) -> np.ndarray:

@@ -50,14 +50,12 @@ class StabilityReport:
 
     eigenvalues holds the six eigenvalues of the Jacobian restricted to the
     tangent space of the two spin shells, followed by the two exact
-    conservation-law zeros (so structural_zero_count is always 2).
-    max_growth_rate is the largest real part of the six; classification is
-    Marginal when its magnitude is below MARGINAL_TOL, otherwise
-    Stable/Unstable by sign.
+    conservation-law zeros, eight in all. max_growth_rate is the largest
+    real part of the six; classification is Marginal when its magnitude is
+    below MARGINAL_TOL, otherwise Stable/Unstable by sign.
     """
 
     eigenvalues: np.ndarray
-    structural_zero_count: int
     max_growth_rate: float
     classification: Classification
 
@@ -73,7 +71,6 @@ class BoundaryRoots:
 
     omega_minus: float | None
     omega_plus: float | None
-    lambda_combined: float
 
 
 def jacobian(s, p: ModelParams) -> np.ndarray:
@@ -209,7 +206,6 @@ def assess(fp, p: ModelParams) -> StabilityReport:
         verdict = Classification.STABLE
     return StabilityReport(
         eigenvalues=np.concatenate([eigs[0], np.zeros(2, dtype=complex)]),
-        structural_zero_count=2,
         max_growth_rate=max_growth,
         classification=verdict,
     )
@@ -246,7 +242,7 @@ def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> Bo
     Roots are absent (None) when 4L^2 < kappa^2.
     """
     q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
-    lam, _, w_minus, w_plus = _pole_indicators(phase, q)
+    _, _, w_minus, w_plus = _pole_indicators(phase, q)
     if np.isnan(w_plus):
-        return BoundaryRoots(None, None, float(lam))
-    return BoundaryRoots(float(w_minus), float(w_plus), float(lam))
+        return BoundaryRoots(None, None)
+    return BoundaryRoots(float(w_minus), float(w_plus))

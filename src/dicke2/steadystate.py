@@ -20,7 +20,6 @@ NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 NEWTON_FD_STEP = 1e-7
 _MAX_HALVINGS = 40
-_DEGENERATE_A1 = 1e-8
 
 
 class NewtonError(RuntimeError):
@@ -34,28 +33,8 @@ class NewtonError(RuntimeError):
 @dataclass(frozen=True)
 class FixedPointSolution:
     state: SystemState
-    branch: str
     residual_norm: float
     newton_iterations: int
-
-
-@dataclass(frozen=True)
-class CriticalCoupling:
-    """Magnitude of a critical coupling plus the sign bookkeeping of its branch.
-
-    value is always the non-negative magnitude. The dynamics is invariant
-    under flipping both couplings together with the cavity quadratures, so
-    couplings are stored as magnitudes; sign labels which reflection of that
-    symmetry the branch convention assigns to this phase/species slot.
-    """
-
-    value: float
-    sign: int
-
-
-def steady_residual(s, p: ModelParams) -> np.ndarray:
-    """The steady-state equations are exactly the vanishing of the RHS."""
-    return eom_rhs(s, p)
 
 
 def _polar_state(u: np.ndarray, p: ModelParams) -> SystemState:
@@ -100,9 +79,8 @@ def solve_superradiant(
     """Damped Newton solve for a fixed point in polar spin coordinates.
 
     init is (theta1, theta2, a1_seed). Which branch is found depends on the
-    seed; superradiant_states enumerates all of them. Solutions that land
-    on a1 = 0 are degenerate pole states and are reported with a "trivial"
-    label.
+    seed; superradiant_states enumerates all of them. The iterate may also
+    land on a pole state (a1 = 0); |state.a1| tells the two apart.
     """
     validate_params(p)
     if p.lambda1 == 0 and p.lambda2 == 0:
@@ -139,12 +117,7 @@ def solve_superradiant(
     full_res = float(np.max(np.abs(eom_rhs(state, p))))
     if full_res >= 1e-10:
         raise NewtonError(f"converged iterate fails the full residual bound ({full_res:.3e})", u)
-    return FixedPointSolution(
-        state=state,
-        branch=_branch_label(state),
-        residual_norm=full_res,
-        newton_iterations=iterations,
-    )
+    return FixedPointSolution(state=state, residual_norm=full_res, newton_iterations=iterations)
 
 
 def superradiant_states(p: ModelParams) -> list[SystemState]:
@@ -202,42 +175,20 @@ def _hemisphere_state(a1: float, sigma: tuple[int, int], p: ModelParams) -> Syst
     return SystemState(a1, p.kappa * a1 / p.omega_c, *spins)
 
 
-def _branch_label(state: SystemState) -> str:
-    if abs(state.a1) < _DEGENERATE_A1:
-        s1 = -1 if state.j1[2] < 0 else 1
-        s2 = -1 if state.j2[2] < 0 else 1
-        phase = Phase((s1, s2))
-        return f"trivial:{phase.name.lower()}"
-    return _superradiant_label(state)
-
-
 def _superradiant_label(state: SystemState) -> str:
     tag = lambda x: "+" if x >= 0 else "-"
     return f"superradiant a1{tag(state.a1)} j1z{tag(state.j1[2])} j2z{tag(state.j2[2])}"
 
 
-_PRINTED_SIGNS = {
-    (Phase.NORMAL, 1): 1,
-    (Phase.NORMAL, 2): 1,
-    (Phase.INVERTED, 1): -1,
-    (Phase.INVERTED, 2): -1,
-    (Phase.MIXED1, 1): 1,
-    (Phase.MIXED1, 2): -1,
-    (Phase.MIXED2, 1): -1,
-    (Phase.MIXED2, 2): 1,
-}
-
-
 def critical_lambda(
     phase: Phase, species: int, other_lambda: float, p: ModelParams
-) -> CriticalCoupling | None:
+) -> float | None:
     """Critical coupling of one species along the zero-eigenvalue boundary.
 
     Solves B = 0 (see stability.boundary_value) for the chosen species'
-    coupling with the other held at other_lambda. None means no boundary
-    exists along that axis (negative radicand) -- absence is a value, not
-    an error. The returned value is always the magnitude; see
-    CriticalCoupling for what the sign annotation records.
+    coupling with the other held at other_lambda, and returns its
+    non-negative magnitude. None means no boundary exists along that axis
+    (negative radicand) -- absence is a value, not an error.
     """
     validate_params(p)
     if species not in (1, 2):
@@ -257,7 +208,7 @@ def critical_lambda(
     if radicand < -1e-12 * scale:
         return None
     radicand = max(radicand, 0.0)
-    return CriticalCoupling(float(np.sqrt(radicand)), _PRINTED_SIGNS[(phase, species)])
+    return float(np.sqrt(radicand))
 
 
 def partial_superradiant_jz(p: ModelParams, species: int = 2) -> float | None:

@@ -93,6 +93,11 @@ def test_stability_reports_marginal_boundary_point():
     assert doc["classification"] == "Marginal"
     assert doc["omega_plus"] == 1.0 and doc["omega_minus"] == 1.0
     assert len(doc["eigenvalues"]) == 8
+    # The two exact zeros come last; the six before them are ordered by
+    # (im, re), which round-off in a real part cannot change.
+    eigs = [(e["im"], e["re"]) for e in doc["eigenvalues"]]
+    assert eigs[6:] == [(0.0, 0.0), (0.0, 0.0)]
+    assert eigs[:6] == sorted(eigs[:6])
 
 
 def test_stability_mixed1_forbidden_point():
@@ -313,9 +318,20 @@ def test_stats_file_is_a_side_channel(tmp_path, capsys):
     assert set(stats["fixed-points"]) == {"command", "compute_s", "write_s"}
 
 
-def test_unknown_flag_is_usage_error():
-    proc = run_cli("simulate", "--no-such-flag", "1", check=False)
-    assert proc.returncode == 2
+def test_unknown_flag_is_usage_error(tmp_path):
+    out = tmp_path / "out.txt"
+    invocations = [
+        ("simulate", "--no-such-flag", "1"),
+        # Only scan takes --format; the other commands have a single format.
+        ("simulate", "--format", "csv"),
+        ("stability", "--format", "json"),
+        ("boundary", "--format", "csv"),
+        ("fixed-points", "--format", "json"),
+    ]
+    for argv in invocations:
+        proc = run_cli(*argv, "--out", str(out), check=False)
+        assert proc.returncode == 2, argv
+        assert not out.exists(), argv
 
 
 def test_unwritable_output_path_fails(tmp_path):

@@ -173,7 +173,7 @@ def test_settled_state_agrees_with_assess_classification():
     pole = trivial_fixed_point(Phase.NORMAL, p)
     assert assess(pole, p).classification.value == "Stable"
     y0 = pole.to_array() + 1e-4 * np.array([1.0, -1.0, 1.0, 0.5, 0.0, -0.5, 1.0, 0.0])
-    res = settle(y0, p, IntegratorConfig(t_final=400.0, sample_interval=2.0), threshold=1e-9)
+    res = settle(y0, p, IntegratorConfig(t_final=400.0, sample_interval=2.0))
     assert res.converged
     assert np.max(np.abs(eom_rhs(res.final_state, p))) < 1e-9
 

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from dicke2 import (
-    DriveParams,
     ModelParams,
     Phase,
     SystemState,
-    coupling_from_pump,
     eom_rhs,
     lambda_combined,
     spin_norm_residual,
@@ -110,19 +108,6 @@ class TestValidateParams:
     def test_nonfinite_rejected(self, field, message, value):
         with pytest.raises(ValueError, match=message):
             validate_params(ModelParams(**{field: value}))
-
-
-class TestCouplingFromPump:
-    def test_direct_arithmetic(self):
-        assert coupling_from_pump(DriveParams(1.0, 2.0, 2.0, 1.0)) == 1.0
-        assert coupling_from_pump(DriveParams(0.5, 4.0, 3.0, 1.0)) == 0.5
-
-    def test_zero_single_atom_coupling(self):
-        assert coupling_from_pump(DriveParams(0.0, 7.0, 2.0, 1.0)) == 0.0
-
-    def test_zero_detuning_rejected(self):
-        with pytest.raises(ValueError, match="detuning"):
-            coupling_from_pump(DriveParams(1.0, 2.0, 1.3, 1.3))
 
 
 class TestEomRhs:
