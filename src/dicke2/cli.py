@@ -1,12 +1,15 @@
 """Command-line front end writing deterministic CSV/JSON/matrix files.
 
 Subcommands: simulate, stability, scan, boundary, fixed-points (the poles
-and every superradiant state). Option precedence is command-line flag >
-config-file entry > built-in default, and the effective configuration is
-echoed into a '#'-prefixed metadata header of every output; stripping '#'
-lines leaves pure machine-readable data. Numbers are written in shortest
-round-trip decimal form. Run statistics (timings and work counters) go only
-to the optional --stats JSON file, never into the data output.
+and every superradiant state). All take the model flags, --config, --out
+and --stats, and all but fixed-points take --phase; each command's other
+keys are declared once, in _OPTIONS. A --config file holds flag names with
+'_' for '-' (null: the default); its entries are parsed as flags placed
+before the command line's own, so they pass the same checks and flags win.
+The effective configuration is echoed into a '#'-prefixed metadata header
+of every output and loads back as a config file; stripping '#' lines leaves
+pure data. Numbers are written in shortest round-trip decimal form. Run
+statistics go only to the optional --stats JSON file, never into the data.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
 
 DEFAULTS: dict = {
     **{f.name: f.default for cls in (ModelParams, GridSpec, IntegratorConfig) for f in fields(cls)},
-    # No cap is echoed as null; _integrator_from maps None to inf.
+    # No cap is echoed as null; _build maps None to the field default, inf.
     "max_step": None,
     "phase": "normal",
     "format": "csv",
@@ -55,6 +58,29 @@ DEFAULTS: dict = {
     "samples": 101,
     "value": "max_growth_rate",
 }
+
+#: Each command's keys beyond the model parameters: its flags, the keys its
+#: config file may hold and, with the parameters, its echoed configuration.
+_OPTIONS = {
+    "simulate": _INTEGRATOR_KEYS + ("phase", "a1", "a2", "perturb", "state"),
+    "stability": ("phase",),
+    "scan": _GRID_KEYS + ("phase", "format", "value"),
+    "boundary": _GRID_KEYS + ("phase", "samples"),
+    "fixed-points": (),
+}
+_CHOICES = {
+    "phase": [phase.name.lower() for phase in Phase],
+    "format": ["csv", "json", "matrix"],
+    "value": list(MATRIX_FIELDS),
+}
+_HELP = {
+    "a1": "initial cavity quadrature offset",
+    "a2": "initial cavity quadrature offset",
+    "perturb": "offset added to a1, j1x and j2x",
+    "state": "explicit initial state: 8 comma-separated components",
+    "value": "cell value for matrix format",
+}
+
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (exit code 2)."""
@@ -69,7 +95,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _load_config_file(path: str) -> dict:
+def _config_flags(path: str, keys: tuple[str, ...]) -> list[str]:
+    """The entries of a JSON config file as --key=value flags; null entries are skipped."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -77,58 +104,27 @@ def _load_config_file(path: str) -> dict:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    for key in data:
-        if key not in DEFAULTS:
-            raise UsageError(f"config file {path} has unknown key {key!r}")
-    return data
+    flags = []
+    for key, value in data.items():
+        if key not in keys:
+            raise UsageError(f"config file {path}: this command does not take key {key!r}")
+        if value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"--{key.replace('_', '-')}={text}")
+    return flags
 
 
-def _effective(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    cfg = {k: DEFAULTS[k] for k in keys}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        for k in keys:
-            if k in file_cfg:
-                cfg[k] = file_cfg[k]
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
-    return cfg
-
-
-def _params_from(cfg: dict) -> ModelParams:
+def _build(cls, validate, cfg: dict):
+    """Validated `cls` from cfg; a None entry takes the field's default."""
+    kwargs = {f.name: cfg[f.name] for f in fields(cls) if cfg[f.name] is not None}
     try:
-        return validate_params(ModelParams(**{k: float(cfg[k]) for k in _PARAM_KEYS}))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _grid_from(cfg: dict) -> GridSpec:
-    try:
-        return validate_grid(GridSpec(**{k: type(DEFAULTS[k])(cfg[k]) for k in _GRID_KEYS}))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _integrator_from(cfg: dict) -> IntegratorConfig:
-    max_step = cfg["max_step"]
-    try:
-        return validate_config(
-            IntegratorConfig(
-                rel_tol=float(cfg["rel_tol"]),
-                abs_tol=float(cfg["abs_tol"]),
-                max_step=np.inf if max_step is None else float(max_step),
-                t_final=float(cfg["t_final"]),
-                sample_interval=float(cfg["sample_interval"]),
-            )
-        )
+        return validate(cls(**kwargs))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _phase_from(cfg: dict) -> Phase:
-    return Phase[str(cfg["phase"]).upper()]
+    return Phase[cfg["phase"].upper()]
 
 
 def _meta_lines(command: str, cfg: dict) -> list[str]:
@@ -155,43 +151,37 @@ def _json_block(obj) -> list[str]:
 
 
 def _initial_state(cfg: dict, p: ModelParams) -> np.ndarray:
-    try:
-        if cfg["state"] is not None:
-            y0 = np.array([float(x) for x in str(cfg["state"]).split(",")])
-            if len(y0) != 8:
-                raise UsageError("--state needs 8 comma-separated components")
-        else:
-            y0 = trivial_fixed_point(_phase_from(cfg), p).to_array()
-            y0[0] += float(cfg["a1"])
-            y0[1] += float(cfg["a2"])
-            eps = float(cfg["perturb"])
-            # The perturbation seeds the cavity and tilts both spins off their poles.
-            y0[0] += eps
-            y0[2] += eps
-            y0[5] += eps
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if cfg["state"] is not None:
+        try:
+            y0 = np.array([float(x) for x in cfg["state"].split(",")])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if len(y0) != 8:
+            raise UsageError("--state needs 8 comma-separated components")
+    else:
+        y0 = trivial_fixed_point(_phase_from(cfg), p).to_array()
+        y0[0] += cfg["a1"]
+        y0[1] += cfg["a2"]
+        eps = cfg["perturb"]
+        # The perturbation seeds the cavity and tilts both spins off their poles.
+        y0[0] += eps
+        y0[2] += eps
+        y0[5] += eps
     if not np.all(np.isfinite(y0)):
         raise UsageError(f"initial state components must be finite (got {y0.tolist()})")
     return y0
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + _INTEGRATOR_KEYS + ("phase", "a1", "a2", "perturb", "state")
-    cfg = _effective(args, keys)
-    p = _params_from(cfg)
-    traj = integrate(_initial_state(cfg, p), p, _integrator_from(cfg))
-    lines = _meta_lines("simulate", cfg)
-    lines.append("t,a1,a2,j1x,j1y,j1z,j2x,j2y,j2z,drift")
+def cmd_simulate(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
+    traj = integrate(_initial_state(cfg, p), p, _build(IntegratorConfig, validate_config, cfg))
+    lines = ["t,a1,a2,j1x,j1y,j1z,j2x,j2y,j2z,drift"]
     for i, t in enumerate(traj.times):
         fields = [_fmt(t)] + [_fmt(v) for v in traj.states[i]] + [_fmt(traj.drift[i].max())]
         lines.append(",".join(fields))
     return lines, {"nfev": traj.nfev, "steps": traj.steps}
 
 
-def cmd_stability(args: argparse.Namespace) -> tuple[list[str], dict]:
-    cfg = _effective(args, _PARAM_KEYS + ("phase",))
-    p = _params_from(cfg)
+def cmd_stability(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
     phase = _phase_from(cfg)
     report = assess(trivial_fixed_point(phase, p), p)
     roots = omega_pm(phase, p.lambda1, p.lambda2, p)
@@ -208,7 +198,7 @@ def cmd_stability(args: argparse.Namespace) -> tuple[list[str], dict]:
         "omega_plus": roots.omega_plus,
         "omega_minus": roots.omega_minus,
     }
-    return _meta_lines("stability", cfg) + _json_block(payload), {}
+    return _json_block(payload), {}
 
 
 def _scan_csv(result) -> list[str]:
@@ -229,8 +219,6 @@ def _scan_json(result) -> list[str]:
 
 
 def _scan_matrix(result, field: str) -> list[str]:
-    if field not in MATRIX_FIELDS:
-        raise UsageError(f"--value must be one of {', '.join(MATRIX_FIELDS)}")
     n2 = result.grid.l2_count
     lines = []
     for i in range(result.grid.l1_count):
@@ -246,43 +234,28 @@ def _scan_matrix(result, field: str) -> list[str]:
     return lines
 
 
-def cmd_scan(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "format", "value")
-    cfg = _effective(args, keys)
-    p = _params_from(cfg)
-    result = scan(_phase_from(cfg), _grid_from(cfg), p)
-    lines = _meta_lines("scan", cfg)
+def cmd_scan(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
+    result = scan(_phase_from(cfg), _build(GridSpec, validate_grid, cfg), p)
     if cfg["format"] == "csv":
-        lines += _scan_csv(result)
+        lines = _scan_csv(result)
     elif cfg["format"] == "json":
-        lines += _scan_json(result)
+        lines = _scan_json(result)
     else:
-        lines += _scan_matrix(result, str(cfg["value"]))
+        lines = _scan_matrix(result, cfg["value"])
     return lines, {"cells": len(result.cells), "refined_cells": result.refined_cells}
 
 
-def cmd_boundary(args: argparse.Namespace) -> tuple[list[str], dict]:
-    keys = _PARAM_KEYS + _GRID_KEYS + ("phase", "samples")
-    cfg = _effective(args, keys)
-    p = _params_from(cfg)
-    grid = _grid_from(cfg)
+def cmd_boundary(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
+    grid = _build(GridSpec, validate_grid, cfg)
+    if cfg["samples"] < 2:
+        raise UsageError(f"--samples must be at least 2 (got {cfg['samples']})")
     curve = analytic_boundary_curve(
-        _phase_from(cfg),
-        p,
-        samples=int(cfg["samples"]),
-        l1_max=grid.l1_max,
-        l2_max=grid.l2_max,
+        _phase_from(cfg), p, samples=cfg["samples"], l1_max=grid.l1_max, l2_max=grid.l2_max
     )
-    lines = _meta_lines("boundary", cfg)
-    lines.append("lambda1,lambda2")
-    for l1, l2 in curve:
-        lines.append(f"{_fmt(l1)},{_fmt(l2)}")
-    return lines, {}
+    return ["lambda1,lambda2"] + [f"{_fmt(l1)},{_fmt(l2)}" for l1, l2 in curve], {}
 
 
-def cmd_fixed_points(args: argparse.Namespace) -> tuple[list[str], dict]:
-    cfg = _effective(args, _PARAM_KEYS)
-    p = _params_from(cfg)
+def cmd_fixed_points(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
     labelled = [(trivial_fixed_point(phase, p), phase.name.lower()) for phase in Phase]
     labelled += [(state, _superradiant_label(state)) for state in superradiant_states(p)]
     entries = []
@@ -297,7 +270,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> tuple[list[str], dict]:
                 "max_growth_rate": report.max_growth_rate,
             }
         )
-    return _meta_lines("fixed-points", cfg) + _json_block({"fixed_points": entries}), {}
+    return _json_block({"fixed_points": entries}), {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,54 +280,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dicke2 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    for key in _PARAM_KEYS:
-        common.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    common.add_argument("--phase", choices=["normal", "inverted", "mixed1", "mixed2"])
-    common.add_argument("--config", help="JSON config file (flags override its entries)")
-    common.add_argument("--out", help="output path (stdout when omitted where allowed)")
-    common.add_argument("--stats", help="write run timings and work counters as JSON to this path")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    for key in _GRID_KEYS:
-        grid.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(DEFAULTS[key]))
-
-    p_sim = sub.add_parser("simulate", parents=[common], help="integrate and write a trajectory CSV")
-    for key in _INTEGRATOR_KEYS:
-        p_sim.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    p_sim.add_argument("--a1", type=float, help="initial cavity quadrature offset")
-    p_sim.add_argument("--a2", type=float, help="initial cavity quadrature offset")
-    p_sim.add_argument("--perturb", type=float, help="offset added to a1, j1x and j2x")
-    p_sim.add_argument("--state", help="explicit initial state: 8 comma-separated components")
-    p_sim.set_defaults(func=cmd_simulate, out_required=True)
-
-    p_stab = sub.add_parser("stability", parents=[common], help="stability report at a pole fixed point")
-    p_stab.set_defaults(func=cmd_stability, out_required=False)
-
-    p_scan = sub.add_parser("scan", parents=[common, grid], help="coupling-plane phase scan")
-    p_scan.add_argument("--format", choices=["csv", "json", "matrix"])
-    p_scan.add_argument("--value", choices=list(MATRIX_FIELDS), help="cell value for matrix format")
-    p_scan.set_defaults(func=cmd_scan, out_required=True)
-
-    p_bnd = sub.add_parser("boundary", parents=[common, grid], help="analytic boundary polyline CSV")
-    p_bnd.add_argument("--samples", type=int)
-    p_bnd.set_defaults(func=cmd_boundary, out_required=True)
-
-    p_fp = sub.add_parser("fixed-points", parents=[common], help="trivial and superradiant fixed points")
-    p_fp.set_defaults(func=cmd_fixed_points, out_required=False)
-
+    commands = {
+        "simulate": (cmd_simulate, "integrate and write a trajectory CSV"),
+        "stability": (cmd_stability, "stability report at a pole fixed point"),
+        "scan": (cmd_scan, "coupling-plane phase scan"),
+        "boundary": (cmd_boundary, "analytic boundary polyline CSV"),
+        "fixed-points": (cmd_fixed_points, "trivial and superradiant fixed points"),
+    }
+    for command, (func, help_text) in commands.items():
+        cmd = sub.add_parser(command, help=help_text)
+        keys = _PARAM_KEYS + _OPTIONS[command]
+        for key in keys:
+            cmd.add_argument(
+                f"--{key.replace('_', '-')}",
+                dest=key,
+                type={"max_step": float, "state": str}.get(key, type(DEFAULTS[key])),
+                default=DEFAULTS[key],
+                choices=_CHOICES.get(key),
+                help=_HELP.get(key),
+            )
+        cmd.add_argument("--config", help="JSON config file (flags override its entries)")
+        cmd.add_argument(
+            "--out",
+            required=command in ("simulate", "scan", "boundary"),
+            help="output path (stdout when omitted where allowed)",
+        )
+        cmd.add_argument("--stats", help="write run timings and work counters as JSON to this path")
+        cmd.set_defaults(func=func, keys=keys)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.out_required and not args.out:
-        parser.error(f"{args.command}: --out is required")
     try:
+        if args.config:
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, args.keys) + argv[1:])
+        cfg = {k: getattr(args, k) for k in args.keys}
         t0 = time.perf_counter()
-        lines, counters = args.func(args)
+        data, counters = args.func(cfg, _build(ModelParams, validate_params, cfg))
+        lines = _meta_lines(args.command, cfg) + data
         t1 = time.perf_counter()
         _write_output(args.out, lines)
         if args.stats:

@@ -25,6 +25,14 @@ def run_cli(*argv, env_extra=None, check=True):
     return proc
 
 
+def exit_code(*argv):
+    """cli.main's exit code in-process; argparse rejections raise SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 def data_lines(text):
     return [ln for ln in text.splitlines() if not ln.startswith("#")]
 
@@ -260,6 +268,8 @@ def test_nonfinite_input_is_usage_error(tmp_path):
         ("simulate", "--t-final", "nan", "--out", str(tmp_path / "s.csv")),
         ("simulate", "--state", "0,0,0,0,nan,0,0,-0.5", "--out", str(tmp_path / "s.csv")),
         ("boundary", "--phase", "mixed2", "--l1-max", "inf", "--out", str(tmp_path / "s.csv")),
+        ("boundary", "--samples", "1", "--out", str(tmp_path / "s.csv")),
+        ("boundary", "--samples", "-5", "--out", str(tmp_path / "s.csv")),
     ):
         proc = run_cli(*argv, check=False)
         assert proc.returncode == 2, argv
@@ -327,10 +337,11 @@ def test_unknown_flag_is_usage_error(tmp_path):
         ("stability", "--format", "json"),
         ("boundary", "--format", "csv"),
         ("fixed-points", "--format", "json"),
+        # fixed-points lists the states of every phase, so it takes no --phase.
+        ("fixed-points", "--phase", "mixed1"),
     ]
     for argv in invocations:
-        proc = run_cli(*argv, "--out", str(out), check=False)
-        assert proc.returncode == 2, argv
+        assert exit_code(*argv, "--out", str(out)) == 2, argv
         assert not out.exists(), argv
 
 
@@ -356,11 +367,22 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert echoed["phase"] == "inverted"
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"lambda_one": 0.5}))
-    proc = run_cli("stability", "--config", str(cfg), check=False)
-    assert proc.returncode == 2
+def test_bad_config_file_is_usage_error(tmp_path):
+    # Config entries pass the same type and choice checks as the flags they
+    # name, and a key the command does not take is rejected, not ignored.
+    cfg, out = tmp_path / "bad.json", tmp_path / "out.txt"
+    for command, entries in (
+        ("stability", {"lambda_one": 0.5}),
+        ("stability", {"t_final": 5, "format": "matrix"}),
+        ("stability", {"phase": "bogus"}),
+        ("stability", {"lambda1": True}),
+        ("scan", {"format": "xml"}),
+        ("scan", {"l1_count": 2.7}),
+        ("boundary", {"samples": "x"}),
+    ):
+        cfg.write_text(json.dumps(entries))
+        assert exit_code(command, "--config", str(cfg), "--out", str(out)) == 2, entries
+        assert not out.exists(), entries
 
 
 def test_metadata_header_present_and_strippable(tmp_path):
