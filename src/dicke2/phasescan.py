@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelParams, Phase, trivial_fixed_point, validate_params
-from .stability import MARGINAL_TOL, _pole_indicators, _spectra, jacobian
+from .stability import MARGINAL_TOL, _boundary_radicand, _pole_indicators, _spectra, jacobian
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
     for i, l1 in enumerate(l1s):
         _, growth[i], refined = _spectra(pole, jacobian(pole, replace(p, lambda1=l1, lambda2=l2s)))
         refined_cells += int(refined.sum())
-    _, b, w_minus, w_plus = _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
+    b, w_minus, w_plus = _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
     w_plus, w_minus = (np.where(np.isnan(w), None, w) for w in (w_plus, w_minus))
     rows = zip(l1s.tolist(), growth.tolist(), b.tolist(), w_plus.tolist(), w_minus.tolist())
     cells = [
@@ -117,45 +117,28 @@ def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
 
 
 def analytic_boundary_curve(
-    phase: Phase,
-    p: ModelParams,
-    samples: int = 101,
-    l1_max: float | None = None,
-    l2_max: float | None = None,
+    phase: Phase, p: ModelParams, samples: int = 101, l1_max: float = 1.5, l2_max: float = 1.5
 ) -> np.ndarray:
     """Polyline of B = 0 points, shape (k, 2), empty when no boundary exists.
 
-    The locus solves s1*l1^2/w1 + s2*l2^2/w2 = -(kappa^2+omega_c^2)/(4*omega_c)
-    exactly for one coupling as a function of the other: an elliptic arc for
-    the normal phase (swept edge to edge by default) and a hyperbolic branch
-    for the mixed phases (swept up to the window cap, default 1.5). The
-    inverted phase has no real locus at positive cavity frequency.
+    Each point solves B = 0 for one coupling at a swept value of the other
+    and equals critical_lambda there: lambda1 over lambda2 on the normal
+    ellipse (swept edge to edge) and mixed1's hyperbola, lambda2 over
+    lambda1 on mixed2's (both swept up to the window cap). The inverted
+    phase has no real locus at positive cavity frequency.
     """
     validate_params(p)
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    beta = (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
-    if l1_max is None:
-        l1_max = 1.5
-    if l2_max is None:
-        l2_max = 1.5
-
-    def sqrt_clipped(r: np.ndarray) -> np.ndarray:
-        # Endpoint roundoff can push the radicand a few ulps negative.
-        return np.sqrt(np.maximum(r, 0.0))
-
     if phase is Phase.INVERTED:
         return np.empty((0, 2))
+    swept = 1 if phase is Phase.MIXED2 else 2
+    end = l1_max if swept == 1 else l2_max
     if phase is Phase.NORMAL:
-        arc_l2 = np.sqrt(p.omega2 * beta)
-        l2 = np.linspace(0.0, arc_l2, samples)
-        l1 = sqrt_clipped(p.omega1 * (beta - l2**2 / p.omega2))
-    elif phase is Phase.MIXED1:
-        l2 = np.linspace(0.0, l2_max, samples)
-        l1 = sqrt_clipped(p.omega1 * (beta + l2**2 / p.omega2))
-    else:  # MIXED2
-        l1 = np.linspace(0.0, l1_max, samples)
-        l2 = sqrt_clipped(p.omega2 * (beta + l1**2 / p.omega1))
-    points = np.column_stack([l1, l2])
+        end = np.sqrt(_boundary_radicand(phase.signs, swept, 0.0, p))
+    sweep = np.linspace(0.0, end, samples)
+    # Endpoint roundoff can push the radicand a few ulps negative.
+    solved = np.sqrt(np.maximum(_boundary_radicand(phase.signs, 3 - swept, sweep, p), 0.0))
+    points = np.column_stack([sweep, solved] if swept == 1 else [solved, sweep])
     keep = (points[:, 0] <= l1_max) & (points[:, 1] <= l2_max)
     return points[keep]

@@ -190,12 +190,14 @@ def assess(fp, p: ModelParams) -> StabilityReport:
     or if either spin vector is zero.
     """
     validate_params(p)
-    residual = float(np.max(np.abs(eom_rhs(fp, p))))
-    if residual > FIXED_POINT_TOL:
+    y = _as_array(fp)
+    if y.shape != (8,):
+        raise ValueError(f"state must have 8 components (got shape {y.shape})")
+    residual = float(np.max(np.abs(eom_rhs(y, p))))
+    if not residual <= FIXED_POINT_TOL:  # a NaN residual fails too
         raise ValueError(
             f"state is not a fixed point: RHS max-norm {residual:.3e} exceeds {FIXED_POINT_TOL}"
         )
-    y = _as_array(fp)
     eigs, growth, _ = _spectra(y[np.newaxis], jacobian(y, p)[np.newaxis])
     max_growth = float(growth[0])
     if abs(max_growth) < MARGINAL_TOL:
@@ -212,7 +214,7 @@ def assess(fp, p: ModelParams) -> StabilityReport:
 
 
 def _pole_indicators(phase: Phase, q: ModelParams) -> tuple:
-    """Combined coupling L, indicator B and window roots (omega_-, omega_+).
+    """Indicator B and window roots (omega_-, omega_+) of a pole phase.
 
     The couplings of q may be arrays; every result broadcasts over them.
     The roots are NaN where the discriminant 4L^2 - kappa^2 is negative.
@@ -221,7 +223,19 @@ def _pole_indicators(phase: Phase, q: ModelParams) -> tuple:
     b = -4.0 * q.omega_c * lam - (q.kappa**2 + q.omega_c**2)
     disc = 4.0 * (lam * lam) - q.kappa**2
     root = np.sqrt(np.where(disc < 0, np.nan, disc))
-    return lam, b, -2.0 * lam - root, -2.0 * lam + root
+    return b, -2.0 * lam - root, -2.0 * lam + root
+
+
+def _boundary_radicand(signs: tuple, species: int, other, p: ModelParams) -> float | np.ndarray:
+    """lambda_species^2 on B = 0 with the other coupling held at other (broadcasts).
+
+    B = 0 reads s1*l1^2/omega1 + s2*l2^2/omega2 = -(kappa^2 + omega_c^2)/(4*omega_c).
+    The species' own sign is +-1; the other's may be any 2*Jz/n in [-1, 1].
+    """
+    si, so = signs if species == 1 else signs[::-1]
+    wi, wo = (p.omega1, p.omega2) if species == 1 else (p.omega2, p.omega1)
+    beta = (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
+    return wi * (-si * beta - si * so * (other * other) / wo)
 
 
 def boundary_value(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> float:
@@ -231,7 +245,7 @@ def boundary_value(phase: Phase, lambda1: float, lambda2: float, p: ModelParams)
     plane; B > 0 marks the zero-frequency instability region.
     """
     q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
-    return float(_pole_indicators(phase, q)[1])
+    return float(_pole_indicators(phase, q)[0])
 
 
 def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> BoundaryRoots:
@@ -242,7 +256,7 @@ def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> Bo
     Roots are absent (None) when 4L^2 < kappa^2.
     """
     q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
-    _, _, w_minus, w_plus = _pole_indicators(phase, q)
+    _, w_minus, w_plus = _pole_indicators(phase, q)
     if np.isnan(w_plus):
         return BoundaryRoots(None, None)
     return BoundaryRoots(float(w_minus), float(w_plus))

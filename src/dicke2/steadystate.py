@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, Phase, SystemState, eom_rhs, validate_params
+from .stability import _boundary_radicand
 
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
-NEWTON_FD_STEP = 1e-7
 _MAX_HALVINGS = 40
 
 
@@ -45,29 +45,24 @@ def _polar_state(u: np.ndarray, p: ModelParams) -> SystemState:
     return SystemState(a1, a2, j1, j2)
 
 
-def _reduced_residual(u: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Cavity imaginary part and the two spin-x steady-state equations."""
-    a1, th1, th2 = u
-    c1 = 2.0 * p.lambda1 / np.sqrt(p.n1)
-    c2 = 2.0 * p.lambda2 / np.sqrt(p.n2)
-    f_cav = (
-        (p.kappa**2 + p.omega_c**2) / p.omega_c * a1
-        + c1 * p.n1 / 2.0 * np.sin(th1)
-        + c2 * p.n2 / 2.0 * np.sin(th2)
-    )
-    f1 = p.n1 / 2.0 * (p.omega1 * np.sin(th1) + 2.0 * c1 * a1 * np.cos(th1))
-    f2 = p.n2 / 2.0 * (p.omega2 * np.sin(th2) + 2.0 * c2 * a1 * np.cos(th2))
-    return np.array([f_cav, f1, f2])
-
-
-def _fd_jacobian(u: np.ndarray, p: ModelParams, h: float) -> np.ndarray:
-    jac = np.empty((3, 3))
-    for k in range(3):
-        up, um = u.copy(), u.copy()
-        up[k] += h
-        um[k] -= h
-        jac[:, k] = (_reduced_residual(up, p) - _reduced_residual(um, p)) / (2.0 * h)
-    return jac
+def _reduced_system(u, p: ModelParams) -> tuple[list[float], list[list[float]]]:
+    """Cavity and spin-x residuals at u = (a1, theta1, theta2), and their exact Jacobian."""
+    a1, th1, th2 = (float(x) for x in u)
+    c1, c2 = 2.0 * p.lambda1 / math.sqrt(p.n1), 2.0 * p.lambda2 / math.sqrt(p.n2)
+    k = (p.kappa**2 + p.omega_c**2) / p.omega_c
+    h1, h2 = p.n1 / 2.0, p.n2 / 2.0
+    s1, k1, s2, k2 = math.sin(th1), math.cos(th1), math.sin(th2), math.cos(th2)
+    r = [
+        k * a1 + c1 * h1 * s1 + c2 * h2 * s2,
+        h1 * (p.omega1 * s1 + 2.0 * c1 * a1 * k1),
+        h2 * (p.omega2 * s2 + 2.0 * c2 * a1 * k2),
+    ]
+    jac = [
+        [k, c1 * h1 * k1, c2 * h2 * k2],
+        [2.0 * h1 * c1 * k1, h1 * (p.omega1 * k1 - 2.0 * c1 * a1 * s1), 0.0],
+        [2.0 * h2 * c2 * k2, 0.0, h2 * (p.omega2 * k2 - 2.0 * c2 * a1 * s2)],
+    ]
+    return r, jac
 
 
 def solve_superradiant(
@@ -76,7 +71,7 @@ def solve_superradiant(
     max_iter: int = NEWTON_MAX_ITER,
     tol: float = NEWTON_TOL,
 ) -> FixedPointSolution:
-    """Damped Newton solve for a fixed point in polar spin coordinates.
+    """Damped Newton solve, with the exact Jacobian, for a fixed point in polar spin coordinates.
 
     init is (theta1, theta2, a1_seed). Which branch is found depends on the
     seed; superradiant_states enumerates all of them. The iterate may also
@@ -87,31 +82,29 @@ def solve_superradiant(
         raise ValueError("at least one coupling must be nonzero")
     th1, th2, a1 = init
     u = np.array([a1, th1, th2], dtype=float)
-    r = _reduced_residual(u, p)
-    rnorm = np.max(np.abs(r))
+    r, jac = _reduced_system(u, p)
+    rnorm = max(map(abs, r))
     iterations = 0
     while rnorm >= tol:
         if iterations >= max_iter:
             raise NewtonError(
                 f"no convergence after {max_iter} iterations (residual {rnorm:.3e})", u
             )
-        jac = _fd_jacobian(u, p, NEWTON_FD_STEP)
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(jac, [-x for x in r])
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular Newton matrix: {exc}", u) from exc
         # Damp by halving until the residual norm stops increasing.
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             u_new = u + scale * step
-            r_new = _reduced_residual(u_new, p)
-            if np.max(np.abs(r_new)) <= rnorm:
+            r_new, jac_new = _reduced_system(u_new, p)
+            if (rnorm_new := max(map(abs, r_new))) <= rnorm:
                 break
             scale *= 0.5
         else:
             raise NewtonError(f"damping stalled at residual {rnorm:.3e}", u)
-        u, r = u_new, r_new
-        rnorm = np.max(np.abs(r))
+        u, r, jac, rnorm = u_new, r_new, jac_new, rnorm_new
         iterations += 1
     state = _polar_state(u, p)
     full_res = float(np.max(np.abs(eom_rhs(state, p))))
@@ -123,13 +116,14 @@ def solve_superradiant(
 def superradiant_states(p: ModelParams) -> list[SystemState]:
     """Every fixed point with a1 != 0, as mirror pairs +a1, -a1.
 
-    sigma_i = +1 puts species i at Jiz < 0. With u = a1^2 and x_i =
-    sqrt(omega_i^2 + 16*lambda_i^2*u/n_i), the spin-x equations give (Jix, Jiz)
-    = -sigma_i*(n_i/2)*(4*lambda_i*a1/sqrt(n_i), omega_i)/x_i, and the cavity
-    equation G(u) = sum_i sigma_i*4*lambda_i^2/x_i = (kappa^2 + omega_c^2)/omega_c.
-    G is monotone for sigma = (+,+), negative for (-,-) and has at most one
-    extremum otherwise, so bisection on monotone brackets finds every root.
-    Order: sigma (+,+), (+,-), (-,+), then u ascending.
+    A branch carries the Phase signs s_i = sign(Jiz) of the pole it leaves.
+    With u = a1^2 and x_i = sqrt(omega_i^2 + 16*lambda_i^2*u/n_i), the spin-x
+    equations give (Jix, Jiz) = s_i*(n_i/2)*(4*lambda_i*a1/sqrt(n_i), omega_i)/x_i
+    and the cavity one G(u) = -sum_i s_i*4*lambda_i^2/x_i = K = (kappa^2 + omega_c^2)/omega_c;
+    G(0) - K is B/omega_c of the pole with the same signs. G is monotone for
+    normal, negative for inverted and has at most one extremum for the mixed
+    signs, so bisection on monotone brackets finds every root.
+    Order: normal, mixed1, mixed2, then u ascending.
     """
     validate_params(p)
     k = (p.kappa * p.kappa + p.omega_c * p.omega_c) / p.omega_c
@@ -139,14 +133,14 @@ def superradiant_states(p: ModelParams) -> list[SystemState]:
     # G < K beyond u = (sum_i lambda_i*sqrt(n_i)/K)^2; at 4x that G <= K/2, past rounding.
     reach = 2.0 * (p.lambda1 * math.sqrt(p.n1) + p.lambda2 * math.sqrt(p.n2)) / k
     states = []
-    for sigma in ((1, 1), (1, -1), (-1, 1)):
+    for pole in (Phase.NORMAL, Phase.MIXED1, Phase.MIXED2):
 
         def excess(u: float) -> float:
-            terms = zip(sigma, amp, omega, slope)
-            return sum(s * a / math.sqrt(w * w + v * u) for s, a, w, v in terms) - k
+            terms = zip(pole.signs, amp, omega, slope)
+            return sum(-s * a / math.sqrt(w * w + v * u) for s, a, w, v in terms) - k
 
         cuts = [0.0, reach * reach]
-        if sigma != (1, 1) and amp[0] > 0 and amp[1] > 0:
+        if pole is not Phase.NORMAL and amp[0] > 0 and amp[1] > 0:
             # G' = 0 where (x1/x2)^3 = amp1*slope1 / (amp2*slope2).
             rho = (amp[0] * slope[0] / (amp[1] * slope[1])) ** (2.0 / 3.0)
             den = slope[0] - rho * slope[1]
@@ -161,17 +155,17 @@ def superradiant_states(p: ModelParams) -> list[SystemState]:
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 f_mid = excess(mid)
                 lo, hi = (mid, hi) if f_mid != 0 and (f_mid < 0) == (f_lo < 0) else (lo, mid)
-            states += [_hemisphere_state(a, sigma, p) for a in (math.sqrt(hi), -math.sqrt(hi))]
+            states += [_hemisphere_state(a, pole.signs, p) for a in (math.sqrt(hi), -math.sqrt(hi))]
     return states
 
 
-def _hemisphere_state(a1: float, sigma: tuple[int, int], p: ModelParams) -> SystemState:
+def _hemisphere_state(a1: float, signs: tuple[int, int], p: ModelParams) -> SystemState:
     spins = []
-    for s, lam, w, n in zip(sigma, (p.lambda1, p.lambda2), (p.omega1, p.omega2), (p.n1, p.n2)):
+    for s, lam, w, n in zip(signs, (p.lambda1, p.lambda2), (p.omega1, p.omega2), (p.n1, p.n2)):
         b = 4.0 * lam / math.sqrt(n) * a1
         x = math.hypot(w, b)
         # + 0.0 keeps an uncoupled species' Jx from printing as -0.0.
-        spins.append((-s * n * b / (2.0 * x) + 0.0, 0.0, -s * n * w / (2.0 * x)))
+        spins.append((s * n * b / (2.0 * x) + 0.0, 0.0, s * n * w / (2.0 * x)))
     return SystemState(a1, p.kappa * a1 / p.omega_c, *spins)
 
 
@@ -195,20 +189,19 @@ def critical_lambda(
         raise ValueError("species must be 1 or 2")
     if other_lambda < 0:
         raise ValueError("coupling must be non-negative")
-    s1, s2 = phase.signs
-    if species == 1:
-        si, so, wi, wo = s1, s2, p.omega1, p.omega2
-    else:
-        si, so, wi, wo = s2, s1, p.omega2, p.omega1
-    beta = (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
-    radicand = -si * wi * beta - si * so * other_lambda**2 * wi / wo
+    return _critical(phase.signs, species, other_lambda, p)
+
+
+def _critical(signs: tuple, species: int, other: float, p: ModelParams) -> float | None:
+    """Square root of stability._boundary_radicand, or None where it is negative."""
+    radicand = _boundary_radicand(signs, species, other, p)
     # On the knife edge the two terms cancel to a few ulps of either sign;
-    # treat those as the radicand hitting zero rather than as absence.
-    scale = wi * beta + other_lambda**2 * wi / wo
-    if radicand < -1e-12 * scale:
+    # treat those as the radicand hitting zero rather than as absence. The
+    # radicand with species i south and the other north bounds both terms.
+    south = Phase.MIXED1 if species == 1 else Phase.MIXED2
+    if radicand < -1e-12 * _boundary_radicand(south.signs, species, other, p):
         return None
-    radicand = max(radicand, 0.0)
-    return float(np.sqrt(radicand))
+    return math.sqrt(max(radicand, 0.0))
 
 
 def partial_superradiant_jz(p: ModelParams, species: int = 2) -> float | None:
@@ -221,9 +214,7 @@ def partial_superradiant_jz(p: ModelParams, species: int = 2) -> float | None:
     validate_params(p)
     if species not in (1, 2):
         raise ValueError("species must be 1 or 2")
-    lam = p.lambda2 if species == 2 else p.lambda1
-    omega = p.omega2 if species == 2 else p.omega1
-    n = p.n2 if species == 2 else p.n1
+    lam, omega, n = (p.lambda2, p.omega2, p.n2) if species == 2 else (p.lambda1, p.omega1, p.n1)
     if lam <= 0:
         raise ValueError("the superradiant species must have a positive coupling")
     jz = -n * omega * (p.kappa**2 + p.omega_c**2) / (8.0 * lam**2 * p.omega_c)
@@ -236,15 +227,11 @@ def critical_lambda1_given_j2z(p: ModelParams, j2z: float) -> float | None:
     """Species-1 critical coupling generalized to an arbitrary species-2 Jz.
 
     Evaluates sqrt(omega1*(kappa^2+omega_c^2)/(4*omega_c)
-    + 2*lambda2^2*omega1*j2z/(n2*omega2)); None when the radicand is
-    negative. At j2z = -n2/2 this reduces to the normal-phase critical
-    coupling, and at the partial-superradiant j2z the radicand cancels to
+    + 2*lambda2^2*omega1*j2z/(n2*omega2)), critical_lambda with species 2's
+    sign replaced by 2*j2z/n2; None when the radicand is negative. At
+    j2z = -n2/2 this is the normal-phase critical coupling and at +n2/2 the
+    mixed1 one, and at the partial-superradiant j2z the radicand cancels to
     zero: the species-1 threshold vanishes once species 2 is superradiant.
     """
     validate_params(p)
-    base = p.omega1 * (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
-    cross = 2.0 * p.lambda2**2 * p.omega1 * j2z / (p.n2 * p.omega2)
-    radicand = base + cross
-    if radicand < -1e-12 * (base + abs(cross)):
-        return None
-    return float(np.sqrt(max(radicand, 0.0)))
+    return _critical((-1, 2 * j2z / p.n2), 1, p.lambda2, p)

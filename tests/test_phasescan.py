@@ -226,6 +226,38 @@ def test_boundary_curve_respects_window():
     assert np.max(np.abs(diff - 0.5)) < 1e-12
 
 
+def per_phase_curve(phase, p, samples, l1_max, l2_max):
+    """The boundary polyline written out phase by phase: ellipse, then hyperbolas."""
+    beta = (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
+    if phase is Phase.INVERTED:
+        return np.empty((0, 2))
+    if phase is Phase.NORMAL:
+        l2 = np.linspace(0.0, np.sqrt(p.omega2 * beta), samples)
+        l1 = np.sqrt(np.maximum(p.omega1 * (beta - l2**2 / p.omega2), 0.0))
+    elif phase is Phase.MIXED1:
+        l2 = np.linspace(0.0, l2_max, samples)
+        l1 = np.sqrt(np.maximum(p.omega1 * (beta + l2**2 / p.omega2), 0.0))
+    else:
+        l1 = np.linspace(0.0, l1_max, samples)
+        l2 = np.sqrt(np.maximum(p.omega2 * (beta + l1**2 / p.omega1), 0.0))
+    points = np.column_stack([l1, l2])
+    return points[(points[:, 0] <= l1_max) & (points[:, 1] <= l2_max)]
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_boundary_curve_matches_per_phase_formulas_bit_for_bit(phase):
+    # Same bits, so the `boundary` command's CSV keeps the same bytes.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        p = ModelParams(
+            **{k: rng.uniform(0.3, 3.0) for k in ("omega1", "omega2", "omega_c", "kappa")}
+        )
+        args = (int(rng.integers(2, 202)), rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0))
+        curve = analytic_boundary_curve(phase, p, *args)
+        oracle = per_phase_curve(phase, p, *args)
+        assert curve.shape == oracle.shape and curve.tobytes() == oracle.tobytes(), (p, args)
+
+
 def test_scan_result_carries_boundary_curve():
     grid = GridSpec(l1_count=5, l2_count=5)
     result = scan(Phase.NORMAL, grid, UNIT)

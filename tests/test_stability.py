@@ -248,6 +248,28 @@ class TestAssess:
         with pytest.raises(ValueError, match="not a fixed point"):
             assess(y, ModelParams(lambda1=0.5, lambda2=0.5))
 
+    @pytest.mark.parametrize(
+        "index, value, match",
+        [
+            (0, np.nan, "not a fixed point"),
+            (4, np.inf, "not a fixed point"),
+            (7, np.nan, "not a fixed point"),
+            (None, None, "state must have 8 components"),
+        ],
+        ids=["nan-a1", "inf-j1z", "nan-j2z", "seven-components"],
+    )
+    def test_malformed_state_rejected_where_it_enters(self, index, value, match):
+        # A NaN residual must fail the fixed-point bound, and a short state
+        # must be refused before the equations of motion unpack it.
+        p = ModelParams(lambda1=0.5, lambda2=0.5)
+        y = trivial_fixed_point(Phase.NORMAL, p).to_array()
+        if index is None:
+            y = y[:7]
+        else:
+            y[index] = value
+        with pytest.raises(ValueError, match=match):
+            assess(y, p)
+
     def test_zero_spin_vector_rejected(self):
         # A zero spin is a fixed point of its own precession, but it has no
         # shell and so no tangent plane to restrict to.

@@ -21,6 +21,7 @@ from dicke2 import (
     superradiant_states,
     trivial_fixed_point,
 )
+from dicke2.steadystate import _reduced_system
 
 UNIT = ModelParams()
 
@@ -112,9 +113,31 @@ def varied_params(rng, count):
         yield p
 
 
+def fd_newton_jacobian(u, p, h=1e-7):
+    """Central-difference Jacobian of the reduced residual; oracle for the exact one."""
+    jac = np.empty((3, 3))
+    for k in range(3):
+        up, um = np.array(u, dtype=float), np.array(u, dtype=float)
+        up[k] += h
+        um[k] -= h
+        r_plus, r_minus = _reduced_system(up, p)[0], _reduced_system(um, p)[0]
+        jac[:, k] = (np.array(r_plus) - np.array(r_minus)) / (2.0 * h)
+    return jac
+
+
+class TestNewtonJacobian:
+    def test_exact_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(17)
+        # varied_params includes lambda_i = 0 and omega1 = omega2 points.
+        for p in varied_params(rng, 200):
+            u = (rng.uniform(-1.5, 1.5), rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
+            _, jac = _reduced_system(u, p)
+            assert np.max(np.abs(np.array(jac) - fd_newton_jacobian(u, p))) < 1e-6, (p, u)
+
+
 def hemispheres(state):
-    """The pattern sigma: +1 for a species in the southern hemisphere (Jz < 0)."""
-    return (1 if state.j1[2] < 0 else -1, 1 if state.j2[2] < 0 else -1)
+    """Signs of (J1z, J2z): the Phase signs of the pole a branch bifurcates from."""
+    return (-1 if state.j1[2] < 0 else 1, -1 if state.j2[2] < 0 else 1)
 
 
 ANGLES = (0.3, 1.2, 2.6)
@@ -158,17 +181,17 @@ class TestSuperradiantStates:
 
     def test_branch_count_parity_follows_the_pole_boundary(self):
         # At u = a1^2 = 0 the branch equation's excess is B/omega_c of the
-        # pole phase s = -sigma, and it is negative at large u: an odd number
-        # of branches with pattern sigma exists exactly where that pole has B > 0.
+        # pole phase with the branch's signs, and it is negative at large u: an
+        # odd number of branches with those signs exists exactly where the pole has B > 0.
         rng = np.random.default_rng(23)
         checks = two_roots = 0
         for p in varied_params(rng, 1000):
             patterns = [hemispheres(s) for s in superradiant_states(p) if s.a1 > 0]
-            for sigma in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                b = boundary_value(Phase((-sigma[0], -sigma[1])), p.lambda1, p.lambda2, p)
-                count = patterns.count(sigma)
+            for phase in Phase:
+                b = boundary_value(phase, p.lambda1, p.lambda2, p)
+                count = patterns.count(phase.signs)
                 assert count <= 2
-                assert (count % 2 == 1) == (b > 0), (p, sigma, count, b)
+                assert (count % 2 == 1) == (b > 0), (p, phase, count, b)
                 two_roots += count == 2
                 checks += 1
         assert checks == 4000 and two_roots > 0
@@ -176,19 +199,18 @@ class TestSuperradiantStates:
     def test_branches_bifurcate_from_the_analytic_boundary(self):
         rng = np.random.default_rng(24)
         # Stepping outside a pole's boundary curve along the coupling that
-        # raises its B, the branch with sigma = -s starts at a1^2 -> 0.
+        # raises its B, the branch with the pole's signs starts at a1^2 -> 0.
         outward = {Phase.NORMAL: (1, 1), Phase.MIXED1: (1, 0), Phase.MIXED2: (0, 1)}
         for _ in range(10):
             p = random_params(rng)
             for phase, (d1, d2) in outward.items():
-                sigma = (-phase.signs[0], -phase.signs[1])
                 for l1, l2 in analytic_boundary_curve(phase, p, samples=5)[1:-1]:
                     last = np.inf
                     for eps in (1e-3, 1e-6, 1e-9):
                         q = replace(p, lambda1=l1 * (1 + d1 * eps), lambda2=l2 * (1 + d2 * eps))
                         assert boundary_value(phase, q.lambda1, q.lambda2, q) > 0
-                        branch = [s for s in superradiant_states(q) if hemispheres(s) == sigma]
-                        u = [s.a1**2 for s in branch if s.a1 > 0]
+                        states = superradiant_states(q)
+                        u = [s.a1**2 for s in states if s.a1 > 0 and hemispheres(s) == phase.signs]
                         assert len(u) == 1 and u[0] < last
                         last = u[0]
                     assert last < 1e-7
@@ -266,6 +288,20 @@ class TestCriticalLambda:
             assert back is not None
             assert back == pytest.approx(lam2, abs=1e-10)
 
+    def test_boundary_curve_points_equal_critical_lambda(self):
+        # The polyline and critical_lambda solve B = 0 with the same arithmetic.
+        rng = np.random.default_rng(19)
+        points = 0
+        for _ in range(200):
+            p = random_params(rng)
+            for phase, swept in ((Phase.NORMAL, 2), (Phase.MIXED1, 2), (Phase.MIXED2, 1)):
+                windows = dict(l1_max=rng.uniform(0.5, 3.0), l2_max=rng.uniform(0.5, 3.0))
+                for point in analytic_boundary_curve(phase, p, samples=41, **windows):
+                    other, solved = point[swept - 1], point[2 - swept]
+                    assert critical_lambda(phase, 3 - swept, other, p) == solved, (p, phase, point)
+                    points += 1
+        assert points > 10000
+
 
 class TestPartialSuperradiance:
     def test_reference_value(self):
@@ -297,10 +333,7 @@ class TestCriticalLambda1GivenJ2z:
             p = random_params(rng)
             general = critical_lambda1_given_j2z(p, -p.n2 / 2.0)
             direct = critical_lambda(Phase.NORMAL, 1, p.lambda2, p)
-            if direct is None:
-                assert general is None or general < 1e-6
-            else:
-                assert general == pytest.approx(direct, abs=1e-12)
+            assert general == direct
 
     def test_reduces_to_mixed1_expression_at_north_pole(self):
         rng = np.random.default_rng(16)
@@ -309,4 +342,4 @@ class TestCriticalLambda1GivenJ2z:
             general = critical_lambda1_given_j2z(p, p.n2 / 2.0)
             direct = critical_lambda(Phase.MIXED1, 1, p.lambda2, p)
             assert direct is not None
-            assert general == pytest.approx(direct, abs=1e-12)
+            assert general == direct
