@@ -6,6 +6,8 @@ and --stats, and all but fixed-points take --phase; each command's other
 keys are declared once, in _OPTIONS. A --config file holds flag names with
 '_' for '-' (null: the default); its entries are parsed as flags placed
 before the command line's own, so they pass the same checks and flags win.
+Parameters, grids and integrator settings check themselves when they are
+built, so a bad value is a usage error (exit 2) before any work is done.
 The effective configuration is echoed into a '#'-prefixed metadata header
 of every output and loads back as a config file; stripping '#' lines leaves
 pure data. Numbers are written in shortest round-trip decimal form. Run
@@ -23,16 +25,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .dynamics import IntegratorConfig, integrate, validate_config
-from .model import (
-    STATE_LABELS,
-    ModelParams,
-    Phase,
-    eom_rhs,
-    trivial_fixed_point,
-    validate_params,
-)
-from .phasescan import GridSpec, analytic_boundary_curve, scan, validate_grid
+from .dynamics import IntegratorConfig, integrate
+from .model import STATE_LABELS, ModelParams, Phase, eom_rhs, trivial_fixed_point
+from .phasescan import GridSpec, analytic_boundary_curve, scan
 from .stability import assess, boundary_value, omega_pm
 from .steadystate import _superradiant_label, superradiant_states
 
@@ -47,8 +42,6 @@ _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
 
 DEFAULTS: dict = {
     **{f.name: f.default for cls in (ModelParams, GridSpec, IntegratorConfig) for f in fields(cls)},
-    # No cap is echoed as null; _build maps None to the field default, inf.
-    "max_step": None,
     "phase": "normal",
     "format": "csv",
     "a1": 0.0,
@@ -65,7 +58,7 @@ _OPTIONS = {
     "simulate": _INTEGRATOR_KEYS + ("phase", "a1", "a2", "perturb", "state"),
     "stability": ("phase",),
     "scan": _GRID_KEYS + ("phase", "format", "value"),
-    "boundary": _GRID_KEYS + ("phase", "samples"),
+    "boundary": ("l1_max", "l2_max", "phase", "samples"),
     "fixed-points": (),
 }
 _CHOICES = {
@@ -114,11 +107,10 @@ def _config_flags(path: str, keys: tuple[str, ...]) -> list[str]:
     return flags
 
 
-def _build(cls, validate, cfg: dict):
-    """Validated `cls` from cfg; a None entry takes the field's default."""
-    kwargs = {f.name: cfg[f.name] for f in fields(cls) if cfg[f.name] is not None}
+def _build(cls, cfg: dict):
+    """`cls` from the entries of cfg that name its fields; cls checks itself."""
     try:
-        return validate(cls(**kwargs))
+        return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -152,6 +144,8 @@ def _json_block(obj) -> list[str]:
 
 def _initial_state(cfg: dict, p: ModelParams) -> np.ndarray:
     if cfg["state"] is not None:
+        if cfg["a1"] or cfg["a2"] or cfg["perturb"]:
+            raise UsageError("--state cannot be combined with --a1, --a2 or --perturb")
         try:
             y0 = np.array([float(x) for x in cfg["state"].split(",")])
         except ValueError as exc:
@@ -173,7 +167,7 @@ def _initial_state(cfg: dict, p: ModelParams) -> np.ndarray:
 
 
 def cmd_simulate(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
-    traj = integrate(_initial_state(cfg, p), p, _build(IntegratorConfig, validate_config, cfg))
+    traj = integrate(_initial_state(cfg, p), p, _build(IntegratorConfig, cfg))
     lines = ["t,a1,a2,j1x,j1y,j1z,j2x,j2y,j2z,drift"]
     for i, t in enumerate(traj.times):
         fields = [_fmt(t)] + [_fmt(v) for v in traj.states[i]] + [_fmt(traj.drift[i].max())]
@@ -235,7 +229,7 @@ def _scan_matrix(result, field: str) -> list[str]:
 
 
 def cmd_scan(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
-    result = scan(_phase_from(cfg), _build(GridSpec, validate_grid, cfg), p)
+    result = scan(_phase_from(cfg), _build(GridSpec, cfg), p)
     if cfg["format"] == "csv":
         lines = _scan_csv(result)
     elif cfg["format"] == "json":
@@ -246,7 +240,7 @@ def cmd_scan(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
 
 
 def cmd_boundary(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
-    grid = _build(GridSpec, validate_grid, cfg)
+    grid = _build(GridSpec, cfg)
     if cfg["samples"] < 2:
         raise UsageError(f"--samples must be at least 2 (got {cfg['samples']})")
     curve = analytic_boundary_curve(
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 f"--{key.replace('_', '-')}",
                 dest=key,
-                type={"max_step": float, "state": str}.get(key, type(DEFAULTS[key])),
+                type=str if key == "state" else type(DEFAULTS[key]),
                 default=DEFAULTS[key],
                 choices=_CHOICES.get(key),
                 help=_HELP.get(key),
@@ -319,7 +313,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:1] + _config_flags(args.config, args.keys) + argv[1:])
         cfg = {k: getattr(args, k) for k in args.keys}
         t0 = time.perf_counter()
-        data, counters = args.func(cfg, _build(ModelParams, validate_params, cfg))
+        data, counters = args.func(cfg, _build(ModelParams, cfg))
         lines = _meta_lines(args.command, cfg) + data
         t1 = time.perf_counter()
         _write_output(args.out, lines)

@@ -42,7 +42,8 @@ class ModelParams:
 
     The cavity decay rate kappa is the frequency unit; all other rates are
     expressed in units of it. Atom numbers are real-valued and positive,
-    couplings are non-negative magnitudes.
+    couplings are non-negative magnitudes (or arrays of them). Every
+    construction, dataclasses.replace included, runs validate_params.
     """
 
     omega1: float = 1.0
@@ -53,6 +54,9 @@ class ModelParams:
     n2: float = 1.0
     lambda1: float = 0.0
     lambda2: float = 0.0
+
+    def __post_init__(self) -> None:
+        validate_params(self)
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,9 @@ class SystemState:
 def validate_params(p: ModelParams) -> ModelParams:
     """Return p unchanged if all invariants hold, else raise ValueError.
 
-    Every field must be finite. The first violated invariant (in field
-    order) is reported by name.
+    Every field must be finite; the couplings are checked element-wise, so
+    they may be arrays. The first violated invariant (in field order) is
+    reported by name.
     """
     for name in ("omega1", "omega2", "omega_c", "kappa"):
         v = getattr(p, name)
@@ -107,7 +112,7 @@ def validate_params(p: ModelParams) -> ModelParams:
             raise ValueError(f"atom number {name} must be positive (got {v})")
     for name in ("lambda1", "lambda2"):
         v = getattr(p, name)
-        if not (math.isfinite(v) and v >= 0):
+        if not np.all(np.isfinite(v) & (np.asarray(v) >= 0)):
             raise ValueError(f"coupling must be non-negative (got {name}={v})")
     return p
 

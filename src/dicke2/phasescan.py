@@ -18,13 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, Phase, trivial_fixed_point, validate_params
+from .model import ModelParams, Phase, trivial_fixed_point
 from .stability import MARGINAL_TOL, _boundary_radicand, _pole_indicators, _spectra, jacobian
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform inclusive-endpoint grid over the (lambda1, lambda2) plane."""
+    """Uniform inclusive-endpoint grid over the (lambda1, lambda2) plane; checked when made."""
 
     l1_min: float = 0.0
     l1_max: float = 1.5
@@ -32,6 +32,9 @@ class GridSpec:
     l2_min: float = 0.0
     l2_max: float = 1.5
     l2_count: int = 61
+
+    def __post_init__(self) -> None:
+        validate_grid(self)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,6 @@ def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
     Each cell's verdict and growth rate equal those of assess at that
     cell's pole fixed point.
     """
-    validate_params(p)
-    validate_grid(grid)
     l1s, l2s = grid_values(grid)
     pole = trivial_fixed_point(phase, p).to_array()
     growth = np.empty((grid.l1_count, grid.l2_count))
@@ -127,7 +128,6 @@ def analytic_boundary_curve(
     lambda1 on mixed2's (both swept up to the window cap). The inverted
     phase has no real locus at positive cavity frequency.
     """
-    validate_params(p)
     if samples < 2:
         raise ValueError("samples must be at least 2")
     if phase is Phase.INVERTED:

@@ -17,14 +17,7 @@ from enum import Enum
 import mpmath
 import numpy as np
 
-from .model import (
-    ModelParams,
-    Phase,
-    _as_array,
-    eom_rhs,
-    lambda_combined,
-    validate_params,
-)
+from .model import ModelParams, Phase, _as_array, eom_rhs, lambda_combined
 
 #: Growth rates within this of zero classify as Marginal.
 MARGINAL_TOL = 1e-8
@@ -99,10 +92,9 @@ def jacobian(s, p: ModelParams) -> np.ndarray:
     return jac
 
 
-def jacobian_fd(s, p: ModelParams, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of eom_rhs; verification oracle."""
-    if not h > 0:
-        raise ValueError("step h must be positive")
+def jacobian_fd(s, p: ModelParams) -> np.ndarray:
+    """Central-difference Jacobian of eom_rhs (step 1e-6); verification oracle."""
+    h = 1e-6
     y = _as_array(s)
     jac = np.empty((8, 8))
     for k in range(8):
@@ -189,7 +181,6 @@ def assess(fp, p: ModelParams) -> StabilityReport:
     Raises if fp is not a fixed point (RHS max-norm above FIXED_POINT_TOL)
     or if either spin vector is zero.
     """
-    validate_params(p)
     y = _as_array(fp)
     if y.shape != (8,):
         raise ValueError(f"state must have 8 components (got shape {y.shape})")
@@ -244,7 +235,7 @@ def boundary_value(phase: Phase, lambda1: float, lambda2: float, p: ModelParams)
     B = 0 is the analytic boundary of the given pole phase in the coupling
     plane; B > 0 marks the zero-frequency instability region.
     """
-    q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
+    q = replace(p, lambda1=lambda1, lambda2=lambda2)
     return float(_pole_indicators(phase, q)[0])
 
 
@@ -255,7 +246,7 @@ def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> Bo
     coupling; one formula covers all four phases through L's sign pair.
     Roots are absent (None) when 4L^2 < kappa^2.
     """
-    q = validate_params(replace(p, lambda1=lambda1, lambda2=lambda2))
+    q = replace(p, lambda1=lambda1, lambda2=lambda2)
     _, w_minus, w_plus = _pole_indicators(phase, q)
     if np.isnan(w_plus):
         return BoundaryRoots(None, None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Phase, SystemState, eom_rhs, validate_params
+from .model import ModelParams, Phase, SystemState, eom_rhs
 from .stability import _boundary_radicand
 
 NEWTON_MAX_ITER = 100
@@ -66,29 +66,29 @@ def _reduced_system(u, p: ModelParams) -> tuple[list[float], list[list[float]]]:
 
 
 def solve_superradiant(
-    p: ModelParams,
-    init: tuple[float, float, float] = (0.5, 0.5, 0.1),
-    max_iter: int = NEWTON_MAX_ITER,
-    tol: float = NEWTON_TOL,
+    p: ModelParams, init: tuple[float, float, float] = (0.5, 0.5, 0.1)
 ) -> FixedPointSolution:
     """Damped Newton solve, with the exact Jacobian, for a fixed point in polar spin coordinates.
 
-    init is (theta1, theta2, a1_seed). Which branch is found depends on the
-    seed; superradiant_states enumerates all of them. The iterate may also
-    land on a pole state (a1 = 0); |state.a1| tells the two apart.
+    init is (theta1, theta2, a1_seed), three finite numbers. Which branch is
+    found depends on the seed; superradiant_states enumerates all of them.
+    The iterate may also land on a pole state (a1 = 0); |state.a1| tells the
+    two apart. Iterates until the reduced residual is below NEWTON_TOL, for
+    at most NEWTON_MAX_ITER steps.
     """
-    validate_params(p)
     if p.lambda1 == 0 and p.lambda2 == 0:
         raise ValueError("at least one coupling must be nonzero")
     th1, th2, a1 = init
     u = np.array([a1, th1, th2], dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"Newton seed must be three finite numbers (got {tuple(init)})")
     r, jac = _reduced_system(u, p)
     rnorm = max(map(abs, r))
     iterations = 0
-    while rnorm >= tol:
-        if iterations >= max_iter:
+    while not rnorm < NEWTON_TOL:  # NaN fails this test too
+        if iterations >= NEWTON_MAX_ITER:
             raise NewtonError(
-                f"no convergence after {max_iter} iterations (residual {rnorm:.3e})", u
+                f"no convergence after {NEWTON_MAX_ITER} iterations (residual {rnorm:.3e})", u
             )
         try:
             step = np.linalg.solve(jac, [-x for x in r])
@@ -108,7 +108,7 @@ def solve_superradiant(
         iterations += 1
     state = _polar_state(u, p)
     full_res = float(np.max(np.abs(eom_rhs(state, p))))
-    if full_res >= 1e-10:
+    if not full_res < 1e-10:
         raise NewtonError(f"converged iterate fails the full residual bound ({full_res:.3e})", u)
     return FixedPointSolution(state=state, residual_norm=full_res, newton_iterations=iterations)
 
@@ -125,7 +125,6 @@ def superradiant_states(p: ModelParams) -> list[SystemState]:
     signs, so bisection on monotone brackets finds every root.
     Order: normal, mixed1, mixed2, then u ascending.
     """
-    validate_params(p)
     k = (p.kappa * p.kappa + p.omega_c * p.omega_c) / p.omega_c
     omega = (p.omega1, p.omega2)
     amp = (4.0 * p.lambda1 * p.lambda1, 4.0 * p.lambda2 * p.lambda2)
@@ -182,13 +181,13 @@ def critical_lambda(
     Solves B = 0 (see stability.boundary_value) for the chosen species'
     coupling with the other held at other_lambda, and returns its
     non-negative magnitude. None means no boundary exists along that axis
-    (negative radicand) -- absence is a value, not an error.
+    (negative radicand) -- absence is a value, not an error. other_lambda
+    must be finite and non-negative.
     """
-    validate_params(p)
     if species not in (1, 2):
         raise ValueError("species must be 1 or 2")
-    if other_lambda < 0:
-        raise ValueError("coupling must be non-negative")
+    if not (math.isfinite(other_lambda) and other_lambda >= 0):
+        raise ValueError(f"coupling must be non-negative (got other_lambda={other_lambda})")
     return _critical(phase.signs, species, other_lambda, p)
 
 
@@ -204,21 +203,17 @@ def _critical(signs: tuple, species: int, other: float, p: ModelParams) -> float
     return math.sqrt(max(radicand, 0.0))
 
 
-def partial_superradiant_jz(p: ModelParams, species: int = 2) -> float | None:
-    """Jz of the superradiant species when the other is pinned at its south pole.
+def partial_superradiant_jz(p: ModelParams) -> float | None:
+    """Jz of species 2 when it is superradiant and species 1 is pinned at its south pole.
 
-    Returns -n*omega*(kappa^2+omega_c^2) / (8*lambda^2*omega_c) for the
-    chosen species, or None when that value leaves the spin shell (the
-    partial-superradiant branch does not exist below threshold).
+    Returns -n2*omega2*(kappa^2+omega_c^2) / (8*lambda2^2*omega_c), or None
+    when that value leaves the spin shell (the partial-superradiant branch
+    does not exist below threshold).
     """
-    validate_params(p)
-    if species not in (1, 2):
-        raise ValueError("species must be 1 or 2")
-    lam, omega, n = (p.lambda2, p.omega2, p.n2) if species == 2 else (p.lambda1, p.omega1, p.n1)
-    if lam <= 0:
-        raise ValueError("the superradiant species must have a positive coupling")
-    jz = -n * omega * (p.kappa**2 + p.omega_c**2) / (8.0 * lam**2 * p.omega_c)
-    if abs(jz) > n / 2.0:
+    if p.lambda2 <= 0:
+        raise ValueError("species 2 must have a positive coupling")
+    jz = -p.n2 * p.omega2 * (p.kappa**2 + p.omega_c**2) / (8.0 * p.lambda2**2 * p.omega_c)
+    if abs(jz) > p.n2 / 2.0:
         return None
     return float(jz)
 
@@ -232,6 +227,8 @@ def critical_lambda1_given_j2z(p: ModelParams, j2z: float) -> float | None:
     j2z = -n2/2 this is the normal-phase critical coupling and at +n2/2 the
     mixed1 one, and at the partial-superradiant j2z the radicand cancels to
     zero: the species-1 threshold vanishes once species 2 is superradiant.
+    j2z must lie on species 2's spin shell, |j2z| <= n2/2.
     """
-    validate_params(p)
+    if not abs(j2z) <= p.n2 / 2.0:  # NaN fails too
+        raise ValueError(f"j2z must satisfy |j2z| <= n2/2 = {p.n2 / 2.0} (got {j2z})")
     return _critical((-1, 2 * j2z / p.n2), 1, p.lambda2, p)

@@ -136,7 +136,7 @@ def test_criterion_5_partial_superradiance():
     sol = solve_superradiant(p, init=(0.1, 1.2, 0.3))
     ok_a = abs(sol.state.j2[2] + 0.25) <= 1e-10 and sol.residual_norm < 1e-10
 
-    lam1c = critical_lambda1_given_j2z(p, partial_superradiant_jz(p, 2))
+    lam1c = critical_lambda1_given_j2z(p, partial_superradiant_jz(p))
     ok_b = lam1c is not None and abs(lam1c) <= 1e-14
 
     y0 = trivial_fixed_point(Phase.MIXED1, p).to_array()
@@ -176,7 +176,7 @@ def test_criterion_7_jacobian_oracle():
     for _ in range(1000):
         p = random_params(rng)
         y = rng.uniform(-1.0, 1.0, 8)
-        err = np.max(np.abs(jacobian(y, p) - jacobian_fd(y, p, 1e-6)))
+        err = np.max(np.abs(jacobian(y, p) - jacobian_fd(y, p)))
         worst = max(worst, err)
     _report(7, "analytic vs central-difference Jacobian", worst < 1e-6, f"worst {worst:.2e}")
 

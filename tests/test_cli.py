@@ -339,6 +339,13 @@ def test_unknown_flag_is_usage_error(tmp_path):
         ("fixed-points", "--format", "json"),
         # fixed-points lists the states of every phase, so it takes no --phase.
         ("fixed-points", "--phase", "mixed1"),
+        # boundary sweeps from zero up to the window caps: it has no minima or counts.
+        ("boundary", "--l1-min", "0.6"),
+        ("simulate", "--max-step", "1"),
+        # --state gives every component, so offsets on top of it are refused, not dropped.
+        ("simulate", "--state", "0,0,0,0,-0.5,0,0,-0.5", "--perturb", "1e-3"),
+        ("simulate", "--state", "0,0,0,0,-0.5,0,0,-0.5", "--a1", "0.2"),
+        ("simulate", "--state", "0,0,0,0,-0.5,0,0,-0.5", "--a2", "-0.2"),
     ]
     for argv in invocations:
         assert exit_code(*argv, "--out", str(out)) == 2, argv
@@ -379,6 +386,7 @@ def test_bad_config_file_is_usage_error(tmp_path):
         ("scan", {"format": "xml"}),
         ("scan", {"l1_count": 2.7}),
         ("boundary", {"samples": "x"}),
+        ("boundary", {"l1_count": 7}),
     ):
         cfg.write_text(json.dumps(entries))
         assert exit_code(command, "--config", str(cfg), "--out", str(out)) == 2, entries

@@ -1,6 +1,7 @@
 """Integration accuracy, conservation drift, settling behavior."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dicke2 import (
     integrate,
     jacobian,
     settle,
+    spin_norm_residual,
     trivial_fixed_point,
 )
 
@@ -114,6 +116,17 @@ def test_drift_report_single_sample_and_off_shell():
     assert d1 == pytest.approx(initial_ratio, rel=1e-8)
 
 
+def test_running_drift_equals_the_per_sample_residual_loop():
+    # The column expression must reproduce spin_norm_residual bit for bit,
+    # so simulate's drift column keeps its bytes.
+    rng = np.random.default_rng(16)
+    p = ModelParams(n1=0.7, n2=1.3)
+    states = rng.normal(size=(2000, 8)) * rng.uniform(0.1, 3.0, (2000, 1))
+    res = np.array([[abs(r) for r in spin_norm_residual(y, p)] for y in states])
+    want = np.maximum.accumulate(res / [(p.n1 / 2.0) ** 2, (p.n2 / 2.0) ** 2], axis=0)
+    assert np.array_equal(dynamics._running_drift(states, p), want)
+
+
 def test_drift_report_rejects_empty_trajectory():
     empty = Trajectory(times=np.empty(0), states=np.empty((0, 8)), drift=np.empty((0, 2)))
     with pytest.raises(ValueError, match="empty"):
@@ -187,10 +200,11 @@ def test_config_validation():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=name):
                 integrate(np.zeros(8), UNIT, IntegratorConfig(**{name: bad}))
-    with pytest.raises(ValueError, match="max_step"):
-        settle(np.zeros(8), UNIT, IntegratorConfig(max_step=np.nan))
-    # An infinite max_step means no cap on the step size.
-    assert len(integrate(np.zeros(8), UNIT, IntegratorConfig(max_step=np.inf, t_final=0.1))) == 2
+    # The settings check themselves when made, replace() included.
+    for name in ("rel_tol", "abs_tol", "t_final", "sample_interval"):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                replace(IntegratorConfig(), **{name: bad})
 
 
 def test_initial_state_must_be_eight_finite_numbers():

@@ -1,5 +1,7 @@
 """Model layer: equations of motion vs complex oracle, invariants, examples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,28 @@ class TestValidateParams:
     def test_nonfinite_rejected(self, field, message, value):
         with pytest.raises(ValueError, match=message):
             validate_params(ModelParams(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("kappa", 0.0, "kappa must be positive"),
+            ("omega2", np.nan, "omega2 must be positive"),
+            ("n2", -1.0, "atom number n2 must be positive"),
+            ("lambda1", -0.1, "coupling must be non-negative"),
+            ("lambda2", np.inf, "coupling must be non-negative"),
+        ],
+    )
+    def test_replace_checks_too(self, field, value, message):
+        # Every construction runs the checks, so no invalid instance exists.
+        with pytest.raises(ValueError, match=message):
+            replace(ModelParams(), **{field: value})
+
+    def test_array_couplings_checked_element_wise(self):
+        q = replace(ModelParams(), lambda1=np.linspace(0.0, 1.0, 3)[:, None], lambda2=np.ones(4))
+        assert validate_params(q) is q
+        for bad in ([0.1, -0.1], [0.1, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="coupling must be non-negative"):
+                replace(ModelParams(), lambda2=np.array(bad))
 
 
 class TestEomRhs:

@@ -33,6 +33,15 @@ def test_grid_validation():
         validate_grid(GridSpec(l1_max=np.inf))
     with pytest.raises(ValueError, match="window"):
         validate_grid(GridSpec(l2_min=np.nan))
+    # A grid checks itself when made, replace() included.
+    for bad, match in (
+        ({"l2_count": 1}, "l2_count must be at least 2"),
+        ({"l1_max": np.nan}, "l1 window"),
+        ({"l1_min": 1.5}, "l1 window"),
+        ({"l2_min": -0.1}, "l2 window"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            replace(GridSpec(), **bad)
 
 
 def test_cell_layout_row_major_lambda1_outer():

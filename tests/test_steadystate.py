@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dicke2 import steadystate
 from dicke2 import (
     ModelParams,
     NewtonError,
@@ -95,11 +96,20 @@ class TestSolveSuperradiant:
         with pytest.raises(ValueError, match="coupling"):
             solve_superradiant(ModelParams(), init=(0.3, 0.3, 0.1))
 
-    def test_nonconvergence_carries_last_iterate(self):
+    def test_nonconvergence_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(steadystate, "NEWTON_MAX_ITER", 1)
         p = ModelParams(lambda1=0.0, lambda2=1.0)
         with pytest.raises(NewtonError) as info:
-            solve_superradiant(p, init=(0.1, 1.2, 0.3), max_iter=1)
+            solve_superradiant(p, init=(0.1, 1.2, 0.3))
         assert info.value.last_iterate.shape == (3,)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_nonfinite_seed_rejected_where_it_enters(self, slot, value):
+        init = [0.1, 1.2, 0.3]
+        init[slot] = value
+        with pytest.raises(ValueError, match="Newton seed must be three finite numbers"):
+            solve_superradiant(ModelParams(lambda2=1.0), init=tuple(init))
 
 
 def varied_params(rng, count):
@@ -233,6 +243,24 @@ class TestSuperradiantStates:
             superradiant_states(ModelParams(lambda1=float("nan")))
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda p: critical_lambda(Phase.NORMAL, 1, np.nan, p), "coupling", id="nan"),
+        pytest.param(lambda p: critical_lambda(Phase.NORMAL, 1, np.inf, p), "coupling", id="inf"),
+        pytest.param(lambda p: critical_lambda(Phase.MIXED2, 2, -0.1, p), "coupling", id="neg"),
+        pytest.param(lambda p: critical_lambda1_given_j2z(p, np.nan), "j2z", id="j2z-nan"),
+        pytest.param(lambda p: critical_lambda1_given_j2z(p, -np.inf), "j2z", id="j2z-inf"),
+        pytest.param(lambda p: critical_lambda1_given_j2z(p, 5.0), "j2z", id="j2z-off-shell"),
+        pytest.param(lambda p: critical_lambda1_given_j2z(p, -0.5000001), "j2z", id="j2z-below"),
+    ],
+)
+def test_critical_couplings_reject_bad_free_inputs(call, match):
+    # Free inputs are checked where they enter, never turned into nan or a wrong number.
+    with pytest.raises(ValueError, match=match):
+        call(ModelParams(lambda2=1.0))
+
+
 class TestCriticalLambda:
     def test_normal_single_species_threshold(self):
         cc = critical_lambda(Phase.NORMAL, 2, 0.0, UNIT)
@@ -305,24 +333,24 @@ class TestCriticalLambda:
 
 class TestPartialSuperradiance:
     def test_reference_value(self):
-        assert partial_superradiant_jz(ModelParams(lambda2=1.0), 2) == -0.25
+        assert partial_superradiant_jz(ModelParams(lambda2=1.0)) == -0.25
 
     def test_touches_pole_at_threshold(self):
-        jz = partial_superradiant_jz(ModelParams(lambda2=np.sqrt(0.5)), 2)
+        jz = partial_superradiant_jz(ModelParams(lambda2=np.sqrt(0.5)))
         assert jz == pytest.approx(-0.5, abs=1e-12)
 
     def test_absent_below_threshold(self):
-        assert partial_superradiant_jz(ModelParams(lambda2=0.5), 2) is None
+        assert partial_superradiant_jz(ModelParams(lambda2=0.5)) is None
 
     def test_requires_positive_coupling(self):
         with pytest.raises(ValueError, match="positive coupling"):
-            partial_superradiant_jz(ModelParams(), 2)
+            partial_superradiant_jz(ModelParams())
 
 
 class TestCriticalLambda1GivenJ2z:
     def test_vanishes_on_partial_superradiant_branch(self):
         p = ModelParams(lambda2=1.0)
-        jz = partial_superradiant_jz(p, 2)
+        jz = partial_superradiant_jz(p)
         lam1c = critical_lambda1_given_j2z(p, jz)
         assert lam1c is not None
         assert abs(lam1c) <= 1e-14
