@@ -27,11 +27,13 @@ import numpy as np
 from . import __version__
 from .dynamics import IntegratorConfig, integrate
 from .model import STATE_LABELS, ModelParams, Phase, eom_rhs, trivial_fixed_point
-from .phasescan import GridSpec, analytic_boundary_curve, scan
+from .phasescan import GridSpec, analytic_boundary_curve, indicator_grid, scan
 from .stability import assess, boundary_value, omega_pm
 from .steadystate import _superradiant_label, superradiant_states
 
 MATRIX_FIELDS = ("max_growth_rate", "boundary_b", "omega_plus", "omega_minus", "superradiant")
+#: The closed-form cell fields, in the order indicator_grid returns them.
+_INDICATOR_FIELDS = ("boundary_b", "omega_minus", "omega_plus")
 CELL_FIELDS = (
     "lambda1", "lambda2", "superradiant", "max_growth_rate", "boundary_b", "omega_plus", "omega_minus"
 )
@@ -229,7 +231,13 @@ def _scan_matrix(result, field: str) -> list[str]:
 
 
 def cmd_scan(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
-    result = scan(_phase_from(cfg), _build(GridSpec, cfg), p)
+    phase, grid = _phase_from(cfg), _build(GridSpec, cfg)
+    if cfg["format"] == "matrix" and cfg["value"] in _INDICATOR_FIELDS:
+        # No spectrum is taken; repr(nan) is the "nan" _scan_matrix writes for no root.
+        values = indicator_grid(phase, grid, p)[_INDICATOR_FIELDS.index(cfg["value"])]
+        lines = [" ".join(map(repr, row)) for row in values.tolist()]
+        return lines, {"cells": values.size, "refined_cells": 0}
+    result = scan(phase, grid, p)
     if cfg["format"] == "csv":
         lines = _scan_csv(result)
     elif cfg["format"] == "json":

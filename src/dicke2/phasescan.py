@@ -8,7 +8,7 @@ per cell. The scan works one lambda1 row at a time: the row's pole
 Jacobians are stacked into one batched eig call, and only the cells whose
 spectrum lands in the near-marginal band go through the 30-digit
 refinement. B and the roots come from one array formula over the whole
-grid.
+grid, indicator_grid, which also serves callers that need no spectrum.
 """
 
 from __future__ import annotations
@@ -83,6 +83,12 @@ def grid_values(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def indicator_grid(phase: Phase, grid: GridSpec, p: ModelParams) -> tuple:
+    """Closed-form B, omega_-, omega_+ per cell, each (l1_count, l2_count); NaN for no root."""
+    l1s, l2s = grid_values(grid)
+    return _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
+
+
 def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
     """Classify every grid cell, one batched spectrum per lambda1 row.
 
@@ -96,7 +102,7 @@ def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:
     for i, l1 in enumerate(l1s):
         _, growth[i], refined = _spectra(pole, jacobian(pole, replace(p, lambda1=l1, lambda2=l2s)))
         refined_cells += int(refined.sum())
-    b, w_minus, w_plus = _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
+    b, w_minus, w_plus = indicator_grid(phase, grid, p)
     w_plus, w_minus = (np.where(np.isnan(w), None, w) for w in (w_plus, w_minus))
     rows = zip(l1s.tolist(), growth.tolist(), b.tolist(), w_plus.tolist(), w_minus.tolist())
     cells = [
@@ -130,6 +136,9 @@ def analytic_boundary_curve(
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    for name, cap in (("l1_max", l1_max), ("l2_max", l2_max)):
+        if not (math.isfinite(cap) and cap > 0):
+            raise ValueError(f"{name} must be finite and positive (got {cap})")
     if phase is Phase.INVERTED:
         return np.empty((0, 2))
     swept = 1 if phase is Phase.MIXED2 else 2

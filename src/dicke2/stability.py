@@ -6,15 +6,16 @@ states tangent to both spin shells form a J-invariant subspace. The
 spectrum is taken of J restricted to that 6-dimensional subspace: the two
 conservation-law zeros ("structural zeros") are left out by construction,
 not picked out by tolerance. This keeps the linearization valid at
-superradiant (non-pole) fixed points as well.
+superradiant (non-pole) fixed points as well. mpmath is imported on the
+first 30-digit refinement, so a run that refines no spectrum never loads it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .model import ModelParams, Phase, _as_array, eom_rhs, lambda_combined
@@ -115,16 +116,27 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
+def __getattr__(name: str):
+    """Import mpmath on the first read of `stability.mpmath`; it is a global from then on."""
+    if name != "mpmath":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global mpmath
+    import mpmath
+    return mpmath
+
+
 def _eigenvalues_refined(m: np.ndarray) -> np.ndarray:
     """Spectrum of a reduced 6x6 matrix recomputed in 30-digit arithmetic.
 
     Slow. At a pole the reduced matrix is J's submatrix without the j1z and
     j2z rows and columns, so its entries are the exact inputs. workdps sets
     mpmath's process-global precision only for this call and restores it
-    afterwards; the package runs no threads that could share it.
+    afterwards; the package runs no threads that could share it. Reading
+    mpmath as a module attribute imports it, or calls what is bound there.
     """
-    with mpmath.workdps(_REFINE_DPS):
-        ev = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
+    mp = sys.modules[__name__].mpmath
+    with mp.workdps(_REFINE_DPS):
+        ev = mp.eig(mp.matrix(m.tolist()), left=False, right=False)
     return np.array([complex(e) for e in ev])
 
 

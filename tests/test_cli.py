@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
+import pytest
 
-from dicke2.cli import main
+from dicke2 import GridSpec, ModelParams, Phase, scan
+from dicke2.cli import DEFAULTS, _scan_matrix, cmd_scan, main
 
 
 def run_cli(*argv, env_extra=None, check=True):
@@ -300,9 +303,63 @@ def test_only_integration_imports_scipy_integrate(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
 
+def test_mpmath_loads_only_when_a_cell_is_refined(tmp_path):
+    # mpmath serves only the 30-digit refinement, so commands that refine no
+    # cell must not load it; the README's omega_plus matrix takes no spectrum.
+    script = "\n".join(
+        [
+            "import sys",
+            "import dicke2, dicke2.cli",
+            f"out = {str(tmp_path / 'x.out')!r}",
+            "runs = [",
+            "    ['stability', '--phase', 'normal', '--lambda1', '0.5', '--lambda2', '0.5'],",
+            "    ['fixed-points', '--lambda1', '0', '--lambda2', '1'],",
+            "    ['boundary', '--phase', 'normal', '--samples', '101', '--out', out],",
+            "    ['scan', '--phase', 'mixed1', '--format', 'matrix', '--value', 'omega_plus',",
+            "     '--out', out],",
+            "]",
+            "assert all(dicke2.cli.main(argv) == 0 for argv in runs)",
+            "print('mpmath' in sys.modules)",
+            # The default value is max_growth_rate: at omega1 = omega2 the
+            # mixed1 diagonal is refined.
+            "assert dicke2.cli.main(['scan', '--phase', 'mixed1', '--format', 'matrix',"
+            " '--out', out]) == 0",
+            "print('mpmath' in sys.modules)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+@pytest.mark.parametrize(
+    "grid, p",
+    [
+        (GridSpec(0.0, 1.5, 13, 0.0, 1.5, 17), ModelParams()),
+        (GridSpec(0.0, 2.0, 11, 0.1, 1.8, 9), ModelParams(omega2=1.2, kappa=0.3)),
+    ],
+)
+def test_indicator_matrix_equals_the_scan_oracle(phase, grid, p):
+    # The closed-form matrix path must write the bytes the full scan writes.
+    result = scan(phase, grid, p)
+    cfg = {**DEFAULTS, **asdict(grid), "phase": phase.name.lower(), "format": "matrix"}
+    for value in ("boundary_b", "omega_plus", "omega_minus"):
+        lines, counters = cmd_scan({**cfg, "value": value}, p)
+        assert lines == _scan_matrix(result, value)
+        assert counters == {"cells": grid.l1_count * grid.l2_count, "refined_cells": 0}
+        if value != "boundary_b":
+            tokens = " ".join(lines).split()
+            assert "nan" in tokens and any(t != "nan" for t in tokens)
+
+
 def test_stats_file_is_a_side_channel(tmp_path, capsys):
+    matrix = ["scan", "--phase", "mixed1", "--format", "matrix", "--value"]
     readme = {
-        "scan": ["scan", "--phase", "mixed1", "--format", "matrix", "--value", "omega_plus"],
+        "scan": [*matrix, "omega_plus"],
+        "scan-growth": [*matrix, "max_growth_rate"],
         "simulate": [
             "simulate", "--phase", "mixed1", "--lambda2", "1", "--perturb", "1e-3",
             "--t-final", "200",
@@ -310,20 +367,23 @@ def test_stats_file_is_a_side_channel(tmp_path, capsys):
         "fixed-points": ["fixed-points", "--lambda1", "0", "--lambda2", "1"],
     }
     stats = {}
-    for command, argv in readme.items():
-        stats_path = tmp_path / f"{command}.json"
+    for label, argv in readme.items():
+        stats_path = tmp_path / f"{label}.json"
         outputs = []
         for extra in ([], ["--stats", str(stats_path)]):
-            out = tmp_path / f"{command}{len(extra)}.out"
-            to_file = [] if command == "fixed-points" else ["--out", str(out)]
+            out = tmp_path / f"{label}{len(extra)}.out"
+            to_file = [] if label == "fixed-points" else ["--out", str(out)]
             assert main([*argv, *to_file, *extra]) == 0
             outputs.append((capsys.readouterr().out, out.read_bytes() if to_file else None))
         assert outputs[0] == outputs[1]
-        stats[command] = json.loads(stats_path.read_text())
-        assert stats[command]["command"] == command
-        assert stats[command]["compute_s"] > 0 and stats[command]["write_s"] >= 0
+        stats[label] = json.loads(stats_path.read_text())
+        assert stats[label]["command"] == argv[0]
+        assert stats[label]["compute_s"] > 0 and stats[label]["write_s"] >= 0
+    # omega_plus has a closed form, so no cell is refined; the growth rate needs the spectrum.
     assert stats["scan"]["cells"] == 61 * 61
-    assert 0 < stats["scan"]["refined_cells"] < stats["scan"]["cells"]
+    assert stats["scan"]["refined_cells"] == 0
+    assert stats["scan-growth"]["cells"] == 61 * 61
+    assert 0 < stats["scan-growth"]["refined_cells"] < stats["scan-growth"]["cells"]
     assert 0 < stats["simulate"]["steps"] < stats["simulate"]["nfev"]
     assert set(stats["fixed-points"]) == {"command", "compute_s", "write_s"}
 

@@ -99,6 +99,23 @@ def test_settle_reports_persistent_precession_as_unconverged():
     assert res.residual_norm > 1e-3
 
 
+def test_z2_mirror_maps_trajectories_bit_for_bit():
+    # (a, jx, jy) -> -(a, jx, jy) maps the equations of motion onto
+    # themselves, and sign flips are exact, so the integrator takes the same
+    # steps and returns the mirrored samples.
+    flip = np.array([-1, -1, -1, -1, 1, -1, -1, 1], dtype=float)
+    cfg = IntegratorConfig(t_final=60.0, sample_interval=0.5)
+    y0 = readme_y0()
+    y0[:4] += (0.3, -0.2, 0.1, 0.05)
+    y0[4] = -np.sqrt(0.25 - y0[2] ** 2 - y0[3] ** 2)
+    p = replace(README_P, lambda1=0.4)
+    a = integrate(y0, p, cfg)
+    b = integrate(flip * y0, p, cfg)
+    assert np.array_equal(b.states, flip * a.states)
+    assert np.array_equal(b.drift, a.drift)
+    assert (b.nfev, b.steps) == (a.nfev, a.steps)
+
+
 def test_drift_report_single_sample_and_off_shell():
     p = ModelParams()
     on = integrate(

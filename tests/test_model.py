@@ -1,6 +1,7 @@
 """Model layer: equations of motion vs complex oracle, invariants, examples."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ class TestEomRhs:
                 dot = float(np.dot(y[sl], d[sl]))
                 scale = np.linalg.norm(y[sl]) * max(np.linalg.norm(d[sl]), 1.0)
                 assert abs(dot) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "frequency, flip",
+        [
+            ("omega1", [1, 1, 1, -1, -1, 1, 1, 1]),
+            ("omega2", [1, 1, 1, 1, 1, 1, -1, -1]),
+            ("omega_c", [1, -1, -1, -1, -1, -1, -1, -1]),
+        ],
+    )
+    def test_frequency_sign_maps_are_exact(self, frequency, flip):
+        # Negating a frequency is matched by a flip of component signs:
+        # eom_rhs(flip*y, p') == flip*eom_rhs(y, p), bit for bit. ModelParams
+        # rejects negative frequencies, so p' is a plain namespace.
+        rng = np.random.default_rng(19)
+        flip = np.array(flip, dtype=float)
+        for _ in range(50):
+            p = random_params(rng)
+            q = SimpleNamespace(**asdict(p))
+            setattr(q, frequency, -getattr(p, frequency))
+            y = random_onshell_state(rng, p)
+            assert np.array_equal(eom_rhs(flip * y, q), flip * eom_rhs(y, p))
 
     def test_accepts_state_and_vector(self):
         p = ModelParams(lambda1=0.3, lambda2=0.7)

@@ -235,6 +235,22 @@ def test_boundary_curve_respects_window():
     assert np.max(np.abs(diff - 0.5)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "phase, caps, name",
+    [
+        # Unchecked, a NaN cap drops every point: an empty curve reads as "no boundary".
+        (Phase.NORMAL, {"l1_max": float("nan")}, "l1_max"),
+        # A negative cap keeps the point (1.2247, -1.0), outside any window.
+        (Phase.MIXED1, {"l2_max": -1.0}, "l2_max"),
+        # An infinite swept cap makes np.linspace warn, and the curve comes back empty.
+        (Phase.MIXED2, {"l1_max": float("inf")}, "l1_max"),
+    ],
+)
+def test_boundary_curve_rejects_a_bad_window_cap(phase, caps, name):
+    with pytest.raises(ValueError, match=name):
+        analytic_boundary_curve(phase, UNIT, **caps)
+
+
 def per_phase_curve(phase, p, samples, l1_max, l2_max):
     """The boundary polyline written out phase by phase: ellipse, then hyperbolas."""
     beta = (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
