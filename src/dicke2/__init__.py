@@ -36,15 +36,13 @@ from .phasescan import (
     scan,
 )
 from .stability import (
-    BoundaryRoots,
     Classification,
     StabilityReport,
     assess,
-    boundary_value,
     eigenvalues,
     jacobian,
     jacobian_fd,
-    omega_pm,
+    pole_indicators,
 )
 from .steadystate import (
     FixedPointSolution,
@@ -59,7 +57,6 @@ from .steadystate import (
 __all__ = [
     "__version__",
     "STATE_LABELS",
-    "BoundaryRoots",
     "Classification",
     "FixedPointSolution",
     "GridSpec",
@@ -76,7 +73,6 @@ __all__ = [
     "Trajectory",
     "analytic_boundary_curve",
     "assess",
-    "boundary_value",
     "critical_lambda",
     "critical_lambda1_given_j2z",
     "drift_report",
@@ -86,8 +82,8 @@ __all__ = [
     "jacobian",
     "jacobian_fd",
     "lambda_combined",
-    "omega_pm",
     "partial_superradiant_jz",
+    "pole_indicators",
     "scan",
     "settle",
     "solve_superradiant",

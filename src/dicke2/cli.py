@@ -28,7 +28,7 @@ from . import __version__
 from .dynamics import IntegratorConfig, integrate
 from .model import STATE_LABELS, ModelParams, Phase, eom_rhs, trivial_fixed_point
 from .phasescan import GridSpec, analytic_boundary_curve, indicator_grid, scan
-from .stability import assess, boundary_value, omega_pm
+from .stability import assess, pole_indicators
 from .steadystate import _superradiant_label, superradiant_states
 
 MATRIX_FIELDS = ("max_growth_rate", "boundary_b", "omega_plus", "omega_minus", "superradiant")
@@ -180,7 +180,7 @@ def cmd_simulate(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
 def cmd_stability(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
     phase = _phase_from(cfg)
     report = assess(trivial_fixed_point(phase, p), p)
-    roots = omega_pm(phase, p.lambda1, p.lambda2, p)
+    b, w_minus, w_plus = (float(x) for x in pole_indicators(phase, p))
     # Six tangent-space eigenvalues by (im, re), then the two exact zeros: pairs and
     # real eigenvalues have exact imaginary parts, so round-off cannot reorder them.
     tangent = sorted((complex(e) for e in report.eigenvalues[:6]), key=lambda z: (z.imag, z.real))
@@ -190,9 +190,9 @@ def cmd_stability(cfg: dict, p: ModelParams) -> tuple[list[str], dict]:
         "eigenvalues": [{"re": e.real, "im": e.imag} for e in eigs],
         "max_growth_rate": report.max_growth_rate,
         "classification": report.classification.value,
-        "boundary_b": boundary_value(phase, p.lambda1, p.lambda2, p),
-        "omega_plus": roots.omega_plus,
-        "omega_minus": roots.omega_minus,
+        "boundary_b": b,
+        "omega_plus": None if np.isnan(w_plus) else w_plus,
+        "omega_minus": None if np.isnan(w_minus) else w_minus,
     }
     return _json_block(payload), {}
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SystemState, eom_rhs
+from .model import ModelParams, SystemState, eom_rhs, spin_norm_residual
 
 #: Max-norm bound on the RHS below which a state counts as settled.
 SETTLE_THRESHOLD = 1e-9
@@ -156,10 +156,9 @@ def integrate(s0, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
 
 def _running_drift(states: np.ndarray, p: ModelParams) -> np.ndarray:
     """Running max of |spin_norm_residual| / (n_i/2)^2 over the rows of states."""
-    y = states.T
     shells = np.array([(p.n1 / 2.0) ** 2, (p.n2 / 2.0) ** 2])
-    norms = np.column_stack([y[2] ** 2 + y[3] ** 2 + y[4] ** 2, y[5] ** 2 + y[6] ** 2 + y[7] ** 2])
-    return np.maximum.accumulate(np.abs(norms - shells) / shells, axis=0)
+    residuals = np.column_stack(spin_norm_residual(states, p))
+    return np.maximum.accumulate(np.abs(residuals) / shells, axis=0)
 
 
 def settle(s0, p: ModelParams, cfg: IntegratorConfig) -> SettleResult:

@@ -156,11 +156,11 @@ def eom_rhs(s, p: ModelParams) -> np.ndarray:
     )
 
 
-def spin_norm_residual(s, p: ModelParams) -> tuple[float, float]:
-    """Algebraic shell residuals (|j1|^2 - (n1/2)^2, |j2|^2 - (n2/2)^2)."""
-    y = _as_array(s)
-    r1 = float(y[2] ** 2 + y[3] ** 2 + y[4] ** 2 - (p.n1 / 2.0) ** 2)
-    r2 = float(y[5] ** 2 + y[6] ** 2 + y[7] ** 2 - (p.n2 / 2.0) ** 2)
+def spin_norm_residual(s, p: ModelParams) -> tuple:
+    """Algebraic shell residuals (|j1|^2 - (n1/2)^2, |j2|^2 - (n2/2)^2); broadcasts over (..., 8)."""
+    y = np.moveaxis(_as_array(s), -1, 0)
+    r1 = y[2] ** 2 + y[3] ** 2 + y[4] ** 2 - (p.n1 / 2.0) ** 2
+    r2 = y[5] ** 2 + y[6] ** 2 + y[7] ** 2 - (p.n2 / 2.0) ** 2
     return r1, r2
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelParams, Phase, trivial_fixed_point
-from .stability import MARGINAL_TOL, _boundary_radicand, _pole_indicators, _spectra, jacobian
+from .stability import MARGINAL_TOL, _boundary_radicand, _spectra, jacobian, pole_indicators
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def grid_values(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def indicator_grid(phase: Phase, grid: GridSpec, p: ModelParams) -> tuple:
     """Closed-form B, omega_-, omega_+ per cell, each (l1_count, l2_count); NaN for no root."""
     l1s, l2s = grid_values(grid)
-    return _pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
+    return pole_indicators(phase, replace(p, lambda1=l1s[:, None], lambda2=l2s))
 
 
 def scan(phase: Phase, grid: GridSpec, p: ModelParams) -> ScanResult:

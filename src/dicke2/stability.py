@@ -13,7 +13,7 @@ first 30-digit refinement, so a run that refines no spectrum never loads it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,19 +52,6 @@ class StabilityReport:
     eigenvalues: np.ndarray
     max_growth_rate: float
     classification: Classification
-
-
-@dataclass(frozen=True)
-class BoundaryRoots:
-    """Real roots omega_-, omega_+ of w^2 + 4*L*w + kappa^2 = 0, if any.
-
-    A pole fixed point is unstable against zero-frequency fluctuations
-    exactly when the cavity frequency lies between the two roots. Both are
-    None when the discriminant is negative (no real boundary).
-    """
-
-    omega_minus: float | None
-    omega_plus: float | None
 
 
 def jacobian(s, p: ModelParams) -> np.ndarray:
@@ -216,15 +203,21 @@ def assess(fp, p: ModelParams) -> StabilityReport:
     )
 
 
-def _pole_indicators(phase: Phase, q: ModelParams) -> tuple:
-    """Indicator B and window roots (omega_-, omega_+) of a pole phase.
+def pole_indicators(phase: Phase, p: ModelParams) -> tuple:
+    """Zero-frequency indicator B and window roots (omega_-, omega_+) of a pole phase.
 
-    The couplings of q may be arrays; every result broadcasts over them.
-    The roots are NaN where the discriminant 4L^2 - kappa^2 is negative.
+    B = -4*omega_c*L - (kappa^2 + omega_c^2), with L the phase's signed
+    combined coupling (lambda_combined). B = 0 is the pole's analytic
+    boundary in the coupling plane, and B > 0 its zero-frequency instability
+    region. The roots -2L -/+ sqrt(4L^2 - kappa^2) of w^2 + 4*L*w + kappa^2
+    bound the cavity-frequency window: the pole is unstable against
+    zero-frequency fluctuations exactly when omega_c lies between them.
+    The couplings of p may be arrays; every result broadcasts over them.
+    Both roots are NaN where 4L^2 < kappa^2 (no real window).
     """
-    lam = lambda_combined(q, phase)
-    b = -4.0 * q.omega_c * lam - (q.kappa**2 + q.omega_c**2)
-    disc = 4.0 * (lam * lam) - q.kappa**2
+    lam = lambda_combined(p, phase)
+    b = -4.0 * p.omega_c * lam - (p.kappa**2 + p.omega_c**2)
+    disc = 4.0 * (lam * lam) - p.kappa**2
     root = np.sqrt(np.where(disc < 0, np.nan, disc))
     return b, -2.0 * lam - root, -2.0 * lam + root
 
@@ -239,27 +232,3 @@ def _boundary_radicand(signs: tuple, species: int, other, p: ModelParams) -> flo
     wi, wo = (p.omega1, p.omega2) if species == 1 else (p.omega2, p.omega1)
     beta = (p.kappa**2 + p.omega_c**2) / (4.0 * p.omega_c)
     return wi * (-si * beta - si * so * (other * other) / wo)
-
-
-def boundary_value(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> float:
-    """Signed zero-eigenvalue indicator B = -4*omega_c*L - (kappa^2 + omega_c^2).
-
-    B = 0 is the analytic boundary of the given pole phase in the coupling
-    plane; B > 0 marks the zero-frequency instability region.
-    """
-    q = replace(p, lambda1=lambda1, lambda2=lambda2)
-    return float(_pole_indicators(phase, q)[0])
-
-
-def omega_pm(phase: Phase, lambda1: float, lambda2: float, p: ModelParams) -> BoundaryRoots:
-    """Cavity-frequency window of instability for a pole phase.
-
-    The roots are -2L +/- sqrt(4L^2 - kappa^2) with L the signed combined
-    coupling; one formula covers all four phases through L's sign pair.
-    Roots are absent (None) when 4L^2 < kappa^2.
-    """
-    q = replace(p, lambda1=lambda1, lambda2=lambda2)
-    _, w_minus, w_plus = _pole_indicators(phase, q)
-    if np.isnan(w_plus):
-        return BoundaryRoots(None, None)
-    return BoundaryRoots(float(w_minus), float(w_plus))

@@ -178,7 +178,7 @@ def critical_lambda(
 ) -> float | None:
     """Critical coupling of one species along the zero-eigenvalue boundary.
 
-    Solves B = 0 (see stability.boundary_value) for the chosen species'
+    Solves B = 0 (see stability.pole_indicators) for the chosen species'
     coupling with the other held at other_lambda, and returns its
     non-negative magnitude. None means no boundary exists along that axis
     (negative radicand) -- absence is a value, not an error. other_lambda

@@ -1,7 +1,8 @@
 """Integration accuracy, conservation drift, settling behavior."""
 
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,21 +100,52 @@ def test_settle_reports_persistent_precession_as_unconverged():
     assert res.residual_norm > 1e-3
 
 
-def test_z2_mirror_maps_trajectories_bit_for_bit():
-    # (a, jx, jy) -> -(a, jx, jy) maps the equations of motion onto
-    # themselves, and sign flips are exact, so the integrator takes the same
-    # steps and returns the mirrored samples.
-    flip = np.array([-1, -1, -1, -1, 1, -1, -1, 1], dtype=float)
+@pytest.mark.parametrize(
+    "frequency, flip",
+    [
+        (None, [-1, -1, -1, -1, 1, -1, -1, 1]),
+        ("omega1", [1, 1, 1, -1, -1, 1, 1, 1]),
+        ("omega_c", [1, -1, -1, -1, -1, -1, -1, -1]),
+    ],
+    ids=["z2_mirror", "omega1", "omega_c"],
+)
+def test_sign_maps_map_trajectories_bit_for_bit(frequency, flip):
+    # Each map flips component signs and turns the equations of motion into
+    # themselves: the Z2 mirror (a, jx, jy) -> -(a, jx, jy) as it stands, and
+    # the flips that match a negated omega1 or omega_c (TestEomRhs in
+    # test_model). Sign flips are exact, so the integrator takes the same
+    # steps and returns the flipped samples. ModelParams rejects negative
+    # frequencies, so the flipped parameters are a plain namespace.
+    flip = np.array(flip, dtype=float)
     cfg = IntegratorConfig(t_final=60.0, sample_interval=0.5)
     y0 = readme_y0()
     y0[:4] += (0.3, -0.2, 0.1, 0.05)
     y0[4] = -np.sqrt(0.25 - y0[2] ** 2 - y0[3] ** 2)
-    p = replace(README_P, lambda1=0.4)
+    p = replace(README_P, lambda1=0.4, omega2=1.3)
+    q = SimpleNamespace(**asdict(p))
+    if frequency is not None:
+        setattr(q, frequency, -getattr(p, frequency))
     a = integrate(y0, p, cfg)
-    b = integrate(flip * y0, p, cfg)
+    b = integrate(flip * y0, q, cfg)
     assert np.array_equal(b.states, flip * a.states)
     assert np.array_equal(b.drift, a.drift)
     assert (b.nfev, b.steps) == (a.nfev, a.steps)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+def test_scaling_every_rate_by_c_rescales_time_by_1_over_c(c):
+    # The right-hand side is homogeneous of degree one in the rates and
+    # couplings, so y(t) at rates c*r equals y(c*t) at rates r. Samples agree
+    # to the integration tolerance, not bit for bit: abs_tol does not scale.
+    p = replace(README_P, lambda1=0.4, omega2=1.3, omega_c=0.8)
+    rates = ("omega1", "omega2", "omega_c", "kappa", "lambda1", "lambda2")
+    q = replace(p, **{k: c * getattr(p, k) for k in rates})
+    y0 = readme_y0()
+    y0[0] = 0.2
+    a = integrate(y0, p, IntegratorConfig(t_final=30.0, sample_interval=0.5))
+    b = integrate(y0, q, IntegratorConfig(t_final=30.0 / c, sample_interval=0.5 / c))
+    assert b.states.shape == a.states.shape
+    assert np.max(np.abs(b.states - a.states)) <= 1e-9
 
 
 def test_drift_report_single_sample_and_off_shell():
@@ -134,7 +166,7 @@ def test_drift_report_single_sample_and_off_shell():
 
 
 def test_running_drift_equals_the_per_sample_residual_loop():
-    # The column expression must reproduce spin_norm_residual bit for bit,
+    # The stacked residual must reproduce the per-sample one bit for bit,
     # so simulate's drift column keeps its bytes.
     rng = np.random.default_rng(16)
     p = ModelParams(n1=0.7, n2=1.3)

@@ -12,12 +12,11 @@ from dicke2 import (
     NewtonError,
     Phase,
     assess,
-    boundary_value,
     eigenvalues,
     jacobian,
     jacobian_fd,
     lambda_combined,
-    omega_pm,
+    pole_indicators,
     solve_superradiant,
     trivial_fixed_point,
 )
@@ -318,27 +317,27 @@ class TestAssess:
 
 class TestBoundaryValue:
     def test_normal_boundary_point(self):
-        assert boundary_value(Phase.NORMAL, 0.5, 0.5, UNIT) == 0.0
+        assert pole_indicators(Phase.NORMAL, replace(UNIT, lambda1=0.5, lambda2=0.5))[0] == 0.0
 
     def test_mixed1_diagonal_is_forbidden(self):
         for lam in (0.1, 1.0, 5.0):
-            assert boundary_value(Phase.MIXED1, lam, lam, UNIT) == -2.0
+            assert pole_indicators(Phase.MIXED1, replace(UNIT, lambda1=lam, lambda2=lam))[0] == -2.0
 
     def test_inverted_never_crosses(self):
         rng = np.random.default_rng(24)
         for _ in range(100):
             p = random_params(rng, lam_hi=3.0)
-            assert boundary_value(Phase.INVERTED, p.lambda1, p.lambda2, p) < 0
+            assert pole_indicators(Phase.INVERTED, p)[0] < 0
 
     def test_sign_agrees_with_spectrum_on_grid(self):
         # Analytic eta=0 indicator vs the eigenvalue classifier, normal phase.
         band = 1e-3
         for l1 in np.linspace(0.0, 1.5, 41):
             for l2 in np.linspace(0.0, 1.5, 41):
-                b = boundary_value(Phase.NORMAL, l1, l2, UNIT)
+                p = ModelParams(lambda1=float(l1), lambda2=float(l2))
+                b = pole_indicators(Phase.NORMAL, p)[0]
                 if abs(b) < band:
                     continue
-                p = ModelParams(lambda1=float(l1), lambda2=float(l2))
                 report = assess(trivial_fixed_point(Phase.NORMAL, p), p)
                 unstable = report.classification is Classification.UNSTABLE
                 assert unstable == (b > 0)
@@ -346,29 +345,29 @@ class TestBoundaryValue:
 
 class TestOmegaPm:
     def test_degenerate_double_root(self):
-        roots = omega_pm(Phase.NORMAL, 0.5, 0.5, UNIT)
-        assert roots.omega_minus == 1.0 and roots.omega_plus == 1.0
+        _, w_minus, w_plus = pole_indicators(Phase.NORMAL, replace(UNIT, lambda1=0.5, lambda2=0.5))
+        assert w_minus == 1.0 and w_plus == 1.0
 
     def test_mixed1_diagonal_absent(self):
-        roots = omega_pm(Phase.MIXED1, 0.8, 0.8, UNIT)
-        assert roots.omega_minus is None and roots.omega_plus is None
+        _, w_minus, w_plus = pole_indicators(Phase.MIXED1, replace(UNIT, lambda1=0.8, lambda2=0.8))
+        assert np.isnan(w_minus) and np.isnan(w_plus)
 
     def test_zero_coupling_absent(self):
         for phase in Phase:
-            roots = omega_pm(phase, 0.0, 0.0, UNIT)
-            assert roots.omega_plus is None
+            _, _, w_plus = pole_indicators(phase, replace(UNIT, lambda1=0.0, lambda2=0.0))
+            assert np.isnan(w_plus)
 
     def test_roots_satisfy_quadratic(self):
         rng = np.random.default_rng(25)
         for _ in range(200):
             p = random_params(rng, lam_hi=2.0)
             for phase in Phase:
-                roots = omega_pm(phase, p.lambda1, p.lambda2, p)
-                if roots.omega_plus is None:
+                _, w_minus, w_plus = pole_indicators(phase, p)
+                if np.isnan(w_plus):
                     continue
-                assert roots.omega_minus <= roots.omega_plus
+                assert w_minus <= w_plus
                 lam = lambda_combined(p, phase)
-                for w in (roots.omega_minus, roots.omega_plus):
+                for w in (w_minus, w_plus):
                     assert abs(w**2 + 4.0 * lam * w + p.kappa**2) < 1e-12 * max(
                         1.0, w**2
                     )
@@ -378,13 +377,13 @@ class TestOmegaPm:
         for _ in range(200):
             p = random_params(rng, lam_hi=2.0)
             for a, b in [(Phase.INVERTED, Phase.NORMAL), (Phase.MIXED2, Phase.MIXED1)]:
-                ra = omega_pm(a, p.lambda1, p.lambda2, p)
-                rb = omega_pm(b, p.lambda1, p.lambda2, p)
-                if ra.omega_plus is None:
-                    assert rb.omega_plus is None
+                _, a_minus, a_plus = pole_indicators(a, p)
+                _, b_minus, b_plus = pole_indicators(b, p)
+                if np.isnan(a_plus):
+                    assert np.isnan(b_plus)
                     continue
-                assert ra.omega_plus == -rb.omega_minus
-                assert ra.omega_minus == -rb.omega_plus
+                assert a_plus == -b_minus
+                assert a_minus == -b_plus
 
     def test_mixed_phase_species_swap(self):
         rng = np.random.default_rng(27)
@@ -400,23 +399,23 @@ class TestOmegaPm:
                 lambda1=p.lambda2,
                 lambda2=p.lambda1,
             )
-            r1 = omega_pm(Phase.MIXED1, p.lambda1, p.lambda2, p)
-            r2 = omega_pm(Phase.MIXED2, swapped.lambda1, swapped.lambda2, swapped)
-            if r1.omega_plus is None:
-                assert r2.omega_plus is None
+            _, minus1, plus1 = pole_indicators(Phase.MIXED1, p)
+            _, minus2, plus2 = pole_indicators(Phase.MIXED2, swapped)
+            if np.isnan(plus1):
+                assert np.isnan(plus2)
             else:
-                assert r1.omega_plus == pytest.approx(r2.omega_plus, abs=1e-12)
-                assert r1.omega_minus == pytest.approx(r2.omega_minus, abs=1e-12)
+                assert plus1 == pytest.approx(plus2, abs=1e-12)
+                assert minus1 == pytest.approx(minus2, abs=1e-12)
 
     def test_instability_window_membership(self):
         # The pole is unstable exactly when omega_c lies between the roots.
         lam1, lam2 = 0.7, 0.7
-        roots = omega_pm(Phase.NORMAL, lam1, lam2, UNIT)
-        assert roots.omega_plus is not None
+        _, w_minus, w_plus = pole_indicators(Phase.NORMAL, replace(UNIT, lambda1=lam1, lambda2=lam2))
+        assert not np.isnan(w_plus)
         for wc in np.linspace(0.1, 4.0, 40):
-            if min(abs(wc - roots.omega_minus), abs(wc - roots.omega_plus)) < 0.02:
+            if min(abs(wc - w_minus), abs(wc - w_plus)) < 0.02:
                 continue
             p = ModelParams(omega_c=float(wc), lambda1=lam1, lambda2=lam2)
             report = assess(trivial_fixed_point(Phase.NORMAL, p), p)
-            inside = roots.omega_minus < wc < roots.omega_plus
+            inside = w_minus < wc < w_plus
             assert (report.classification is Classification.UNSTABLE) == inside

@@ -7,16 +7,17 @@ import pytest
 
 from dicke2 import steadystate
 from dicke2 import (
+    Classification,
     ModelParams,
     NewtonError,
     Phase,
     analytic_boundary_curve,
     assess,
-    boundary_value,
     critical_lambda,
     critical_lambda1_given_j2z,
     eom_rhs,
     partial_superradiant_jz,
+    pole_indicators,
     solve_superradiant,
     spin_norm_residual,
     superradiant_states,
@@ -198,13 +199,31 @@ class TestSuperradiantStates:
         for p in varied_params(rng, 1000):
             patterns = [hemispheres(s) for s in superradiant_states(p) if s.a1 > 0]
             for phase in Phase:
-                b = boundary_value(phase, p.lambda1, p.lambda2, p)
+                b = pole_indicators(phase, p)[0]
                 count = patterns.count(phase.signs)
                 assert count <= 2
                 assert (count % 2 == 1) == (b > 0), (p, phase, count, b)
                 two_roots += count == 2
                 checks += 1
         assert checks == 4000 and two_roots > 0
+
+    def test_normal_branch_is_never_unstable_and_a_mixed_branch_never_stable(self):
+        # Observed, not proven: the branch that leaves the normal pole (j1z, j2z < 0)
+        # holds the attractor, and a branch that leaves a mixed pole never does.
+        # Marginal occurs on both (omega1 = omega2, lambda_i = 0).
+        rng = np.random.default_rng(27)
+        normal = mixed = 0
+        for p in varied_params(rng, 400):
+            for s in superradiant_states(p):
+                signs = hemispheres(s)
+                verdict = assess(s, p).classification
+                if signs == (-1, -1):
+                    assert verdict is not Classification.UNSTABLE, (p, s)
+                    normal += 1
+                elif signs[0] != signs[1]:
+                    assert verdict is not Classification.STABLE, (p, s)
+                    mixed += 1
+        assert normal > 100 and mixed > 100
 
     def test_branches_bifurcate_from_the_analytic_boundary(self):
         rng = np.random.default_rng(24)
@@ -218,7 +237,7 @@ class TestSuperradiantStates:
                     last = np.inf
                     for eps in (1e-3, 1e-6, 1e-9):
                         q = replace(p, lambda1=l1 * (1 + d1 * eps), lambda2=l2 * (1 + d2 * eps))
-                        assert boundary_value(phase, q.lambda1, q.lambda2, q) > 0
+                        assert pole_indicators(phase, q)[0] > 0
                         states = superradiant_states(q)
                         u = [s.a1**2 for s in states if s.a1 > 0 and hemispheres(s) == phase.signs]
                         assert len(u) == 1 and u[0] < last
@@ -296,9 +315,9 @@ class TestCriticalLambda:
                     if cc is None:
                         continue
                     if species == 1:
-                        b = boundary_value(phase, cc, other, p)
+                        b = pole_indicators(phase, replace(p, lambda1=cc, lambda2=other))[0]
                     else:
-                        b = boundary_value(phase, other, cc, p)
+                        b = pole_indicators(phase, replace(p, lambda1=other, lambda2=cc))[0]
                     assert abs(b) < 1e-12
                     checked += 1
         assert checked > 100
