@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SystemState, eom_rhs, spin_norm_residual
+from .model import ModelParams, SystemState, _rhs_kernel, eom_rhs, spin_norm_residual
 
 #: Max-norm bound on the RHS below which a state counts as settled.
 SETTLE_THRESHOLD = 1e-9
@@ -93,9 +93,11 @@ def _samples(s0, p: ModelParams, cfg: IntegratorConfig, times: np.ndarray):
     """Yield (state, nfev, steps so far) at each sample time, starting with s0.
 
     Each later sample is one run of SciPy's compiled dop853 from the one
-    before, so no sample depends on where a caller stops. An exception in
-    the RHS (Ctrl-C included) is stored and NaNs returned, which make the
-    Fortran loop reject steps until it gives up; it is then re-raised.
+    before, so no sample depends on where a caller stops. The RHS is
+    _rhs_kernel(p), built once per run, on lists of Python floats. An
+    exception in the RHS (Ctrl-C included) is stored and NaNs returned,
+    which make the Fortran loop reject steps until it gives up; it is then
+    re-raised.
     """
     y = s0.to_array() if isinstance(s0, SystemState) else np.asarray(s0, dtype=float)
     if y.shape != (8,) or not np.all(np.isfinite(y)):
@@ -106,12 +108,13 @@ def _samples(s0, p: ModelParams, cfg: IntegratorConfig, times: np.ndarray):
 
     counts = [0, 0]  # RHS evaluations; solout calls, one per accepted step and per run
     error: list[BaseException] = []
+    f = _rhs_kernel(p)
 
     def rhs(t, y):
         if not error:
             counts[0] += 1
             try:
-                return eom_rhs(y, p)
+                return f(y.tolist())
             except BaseException as exc:
                 # A Ctrl-C at a callback's entry escapes every try; the next
                 # callback then fails with a SystemError caused by it.

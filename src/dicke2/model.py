@@ -112,7 +112,11 @@ def validate_params(p: ModelParams) -> ModelParams:
             raise ValueError(f"atom number {name} must be positive (got {v})")
     for name in ("lambda1", "lambda2"):
         v = getattr(p, name)
-        if not np.all(np.isfinite(v) & (np.asarray(v) >= 0)):
+        if isinstance(v, (int, float)):  # math is many times cheaper than numpy here
+            ok = math.isfinite(v) and v >= 0
+        else:
+            ok = np.all(np.isfinite(v) & (np.asarray(v) >= 0))
+        if not ok:
             raise ValueError(f"coupling must be non-negative (got {name}={v})")
     return p
 
@@ -132,28 +136,36 @@ def eom_rhs(s, p: ModelParams) -> np.ndarray:
         dJiy/dt =  omega_i*Jix - (4*l_i/sqrt(n_i))*a1*Jiz
         dJiz/dt =  (4*l_i/sqrt(n_i))*a1*Jiy
 
-    Accepts a SystemState or a raw 8-vector (the integrator uses the
-    latter). Each spin's norm is an exact constant of this flow. The
-    arithmetic runs on Python floats: the integrator calls this function
-    once per stage, and numpy scalars would cost twice as much per call.
+    Accepts a SystemState or a raw 8-vector. Each spin's norm is an exact
+    constant of this flow. The integrator calls _rhs_kernel(p) directly.
     """
-    a1, a2, j1x, j1y, j1z, j2x, j2y, j2z = _as_array(s).tolist()
+    return np.array(_rhs_kernel(p)(_as_array(s).tolist()))
+
+
+def _rhs_kernel(p: ModelParams):
+    """eom_rhs as f(list of 8 floats) -> list, with p's constants bound once per kernel.
+
+    p is read by attribute only, so any object with ModelParams' fields works.
+    """
+    kappa, omega_c, omega1, omega2 = p.kappa, p.omega_c, p.omega1, p.omega2
     c1 = 2.0 * p.lambda1 / math.sqrt(p.n1)
     c2 = 2.0 * p.lambda2 / math.sqrt(p.n2)
-    g1 = 2.0 * c1
-    g2 = 2.0 * c2
-    return np.array(
-        [
-            -p.kappa * a1 + p.omega_c * a2,
-            -p.kappa * a2 - p.omega_c * a1 - c1 * j1x - c2 * j2x,
-            -p.omega1 * j1y,
-            p.omega1 * j1x - g1 * a1 * j1z,
+    g1, g2 = 2.0 * c1, 2.0 * c2
+
+    def f(y: list) -> list:
+        a1, a2, j1x, j1y, j1z, j2x, j2y, j2z = y
+        return [
+            -kappa * a1 + omega_c * a2,
+            -kappa * a2 - omega_c * a1 - c1 * j1x - c2 * j2x,
+            -omega1 * j1y,
+            omega1 * j1x - g1 * a1 * j1z,
             g1 * a1 * j1y,
-            -p.omega2 * j2y,
-            p.omega2 * j2x - g2 * a1 * j2z,
+            -omega2 * j2y,
+            omega2 * j2x - g2 * a1 * j2z,
             g2 * a1 * j2y,
         ]
-    )
+
+    return f
 
 
 def spin_norm_residual(s, p: ModelParams) -> tuple:

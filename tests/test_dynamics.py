@@ -1,5 +1,6 @@
 """Integration accuracy, conservation drift, settling behavior."""
 
+import math
 import time
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from dicke2 import dynamics
+from dicke2.model import _rhs_kernel
 from dicke2 import (
     IntegrationError,
     IntegratorConfig,
@@ -322,23 +324,82 @@ def test_settle_stops_at_a_sample_of_the_full_run(case):
         assert (res.nfev, res.steps) == (traj.nfev, traj.steps)
 
 
-def _patched_rhs(monkeypatch, after, outcome):
+def _per_call_eom_rhs(s, p):
+    """Slow oracle: eom_rhs re-deriving its constants and building an array on every call."""
+    a1, a2, j1x, j1y, j1z, j2x, j2y, j2z = np.asarray(s, dtype=float).tolist()
+    c1 = 2.0 * p.lambda1 / math.sqrt(p.n1)
+    c2 = 2.0 * p.lambda2 / math.sqrt(p.n2)
+    g1 = 2.0 * c1
+    g2 = 2.0 * c2
+    return np.array(
+        [
+            -p.kappa * a1 + p.omega_c * a2,
+            -p.kappa * a2 - p.omega_c * a1 - c1 * j1x - c2 * j2x,
+            -p.omega1 * j1y,
+            p.omega1 * j1x - g1 * a1 * j1z,
+            g1 * a1 * j1y,
+            -p.omega2 * j2y,
+            p.omega2 * j2x - g2 * a1 * j2z,
+            g2 * a1 * j2y,
+        ]
+    )
+
+
+SUPERRADIANT_EQUAL_FREQ = ModelParams(lambda1=0.8, lambda2=0.8)
+ORACLE_CASES = {
+    **NON_CHAOTIC_CASES,
+    # omega1 = omega2 far above threshold: the dark mode keeps precessing.
+    "superradiant_equal_freq": (
+        trivial_fixed_point(Phase.NORMAL, SUPERRADIANT_EQUAL_FREQ).to_array()
+        + 1e-3 * np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+        SUPERRADIANT_EQUAL_FREQ,
+        IntegratorConfig(t_final=40.0, sample_interval=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_bound_kernel_matches_per_call_numpy_rhs_bit_for_bit(monkeypatch, case):
+    # The integrator's kernel binds the constants once and returns lists; the
+    # oracle recomputes them and builds an array on every call. Both must
+    # drive dop853 through the same steps to the same bits.
+    y0, p, cfg = ORACLE_CASES[case]
+    fast = integrate(y0, p, cfg), settle(y0, p, cfg)
+    monkeypatch.setattr(dynamics, "_rhs_kernel", lambda q: lambda y: _per_call_eom_rhs(y, q))
+    slow = integrate(y0, p, cfg), settle(y0, p, cfg)
+    for a, b in zip(fast, slow):
+        assert (a.nfev, a.steps) == (b.nfev, b.steps) and a.nfev > 0
+    assert np.array_equal(fast[0].states, slow[0].states)
+    assert np.array_equal(fast[1].final_state.to_array(), slow[1].final_state.to_array())
+    assert fast[1].elapsed_time == slow[1].elapsed_time
+    assert fast[1].residual_norm == slow[1].residual_norm
+    if case == "superradiant_equal_freq":
+        assert not fast[1].converged
+
+
+def _patched_kernel(monkeypatch, after, outcome):
+    """Make the integrator's RHS count its calls and, after `after` of them, fail."""
     calls = [0]
 
-    def rhs(y, p):
-        calls[0] += 1
-        if calls[0] > after:
-            if outcome == "nan":
-                return np.full(8, np.nan)
-            raise outcome()
-        return eom_rhs(y, p)
+    def kernel(p):
+        f = _rhs_kernel(p)
 
-    monkeypatch.setattr(dynamics, "eom_rhs", rhs)
+        def rhs(y):
+            calls[0] += 1
+            if calls[0] > after:
+                if outcome == "nan":
+                    return [np.nan] * 8
+                raise outcome()
+            return f(y)
+
+        return rhs
+
+    monkeypatch.setattr(dynamics, "_rhs_kernel", kernel)
     return calls
 
 
 def test_nan_rhs_raises_integration_error_with_failure_time(monkeypatch):
-    _patched_rhs(monkeypatch, 2000, "nan")
+    _patched_kernel(monkeypatch, 2000, "nan")
     with pytest.raises(IntegrationError) as info:
         integrate(readme_y0(), README_P, README_CFG)
     assert 0 < info.value.t_failed < README_CFG.t_final
@@ -346,7 +407,7 @@ def test_nan_rhs_raises_integration_error_with_failure_time(monkeypatch):
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError, KeyboardInterrupt])
 def test_exception_in_rhs_stops_integration_promptly(monkeypatch, exc):
-    calls = _patched_rhs(monkeypatch, 2000, exc)
+    calls = _patched_kernel(monkeypatch, 2000, exc)
     t0 = time.perf_counter()
     with pytest.raises(exc):
         integrate(readme_y0(), README_P, README_CFG)

@@ -1,5 +1,6 @@
 """Model layer: equations of motion vs complex oracle, invariants, examples."""
 
+import re
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -133,6 +134,40 @@ class TestValidateParams:
         for bad in ([0.1, -0.1], [0.1, np.nan], [np.inf, 0.0]):
             with pytest.raises(ValueError, match="coupling must be non-negative"):
                 replace(ModelParams(), lambda2=np.array(bad))
+
+    COUPLING_TABLE = {
+        "float": (0.5, True),
+        "int": (2, True),
+        "float64": (np.float64(0.3), True),
+        "float32": (np.float32(0.3), True),
+        "true": (True, True),
+        "false": (False, True),
+        "negative_zero": (-0.0, True),
+        "nan": (np.nan, False),
+        "inf": (np.inf, False),
+        "negative_inf": (-np.inf, False),
+        "negative_int": (-1, False),
+        "negative_float64": (np.float64(-0.5), False),
+        "array_0d": (np.array(0.4), True),
+        "array_0d_negative": (np.array(-0.4), False),
+        "array_1d": (np.array([0.1, 0.2]), True),
+        "array_1d_negative": (np.array([0.1, -0.2]), False),
+        "array_1d_nan": (np.array([0.1, np.nan]), False),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COUPLING_TABLE))
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    def test_coupling_decision_table(self, name, kind):
+        value, ok = self.COUPLING_TABLE[kind]
+        # Python scalars take a math fast path and everything else numpy's
+        # element-wise check; both must give the element-wise rule's verdict.
+        assert ok == bool(np.all(np.isfinite(value) & (np.asarray(value) >= 0)))
+        if ok:
+            assert getattr(ModelParams(**{name: value}), name) is value
+        else:
+            message = f"coupling must be non-negative (got {name}={value})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ModelParams(**{name: value})
 
 
 class TestEomRhs:
